@@ -18,7 +18,6 @@ from bnbench.compile import (
     elimination_order,
     junction_tree,
     moral_graph,
-    triangulate,
     verify_join_tree,
 )
 from bnbench.counting import OpCounter
@@ -42,8 +41,6 @@ from bnbench.potentials import (
     PotentialError,
     Variable,
     divide,
-    identity_potential,
-    identity_scalar,
     make_potential,
     marginalize,
     multiply,
@@ -78,8 +75,6 @@ __all__ = [
     "figure9_evidence",
     "figure9_net",
     "hugin_run",
-    "identity_potential",
-    "identity_scalar",
     "input_potentials",
     "joint_oracle",
     "junction_tree",
@@ -96,7 +91,6 @@ __all__ = [
     "run_all",
     "ss_run",
     "storage_report",
-    "triangulate",
     "validate",
     "verify_join_tree",
 ]

@@ -61,6 +61,18 @@ class JoinTree:
     def degree(self, nid):
         return len(self.adj[nid])
 
+    def holders(self) -> dict:
+        """Variable id -> ascending ids of the nodes whose domain contains it."""
+        out = {}
+        for n in sorted(self.nodes):
+            for v in self.nodes[n]:
+                out.setdefault(v, []).append(n)
+        return out
+
+    def smallest(self, nids) -> int:
+        """Smallest-state-space node among ``nids``; ties broken by lowest id."""
+        return min(nids, key=lambda n: (self.statespace(n), n))
+
     def root(self):
         """Biggest-state-space node; ties broken by lowest id."""
         return min(sorted(self.nodes), key=lambda n: (-self.statespace(n), n))
@@ -81,10 +93,8 @@ def moral_graph(net: BayesNet) -> dict:
     return adj
 
 
-def elimination_order(graph: dict, cards: dict, heuristic: str = "min-fill") -> list:
+def elimination_order(graph: dict, cards: dict) -> list:
     """Greedy min-fill order; ties by resulting clique state space, then id."""
-    if heuristic != "min-fill":
-        raise CompileError("unknown elimination heuristic %r" % heuristic)
     adj = {v: set(nbrs) for v, nbrs in graph.items()}
     remaining = set(adj)
     order = []
@@ -115,28 +125,6 @@ def elimination_order(graph: dict, cards: dict, heuristic: str = "min-fill") -> 
     return order
 
 
-def triangulate(graph: dict, order: list) -> tuple:
-    """Fill the graph along ``order``; return (chordal adjacency, cliques).
-
-    Cliques are the subset-reduced elimination cliques in discovery order.
-    """
-    adj = {v: set(nbrs) for v, nbrs in graph.items()}
-    remaining = set(adj)
-    cliques = []
-    for v in order:
-        nbrs = adj[v] & remaining
-        candidate = tuple(sorted({v} | nbrs))
-        if not any(set(candidate) <= set(c) for c in cliques):
-            cliques.append(candidate)
-        ns = sorted(nbrs)
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                adj[ns[i]].add(ns[j])
-                adj[ns[j]].add(ns[i])
-        remaining.remove(v)
-    return adj, cliques
-
-
 def _statespace(domain, cards):
     size = 1
     for v in domain:
@@ -160,12 +148,12 @@ def binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
     for v in sorted(cards):
         nodes[v] = (v,)
         adj[v] = []
+    seen = set()
     for dom in hypergraph:
         dom = tuple(sorted(dom))
-        if len(dom) < 2:
+        if len(dom) < 2 or dom in seen:
             continue
-        if any(nodes[n] == dom for n in nodes):
-            continue
+        seen.add(dom)
         nid = len(nodes)
         nodes[nid] = dom
         adj[nid] = []
@@ -253,13 +241,14 @@ def attach_singletons(tree: JoinTree, targets) -> JoinTree:
     """
     nodes = dict(tree.nodes)
     adj = {n: set(tree.adj[n]) for n in nodes}
+    holders = tree.holders()
     fresh = max(nodes) + 1
     for x in sorted(set(targets)):
-        if any(dom == (x,) for dom in nodes.values()):
-            continue
-        hosts = [n for n in nodes if x in nodes[n]]
+        hosts = holders.get(x)
         if not hosts:
             raise CompileError("variable %r absent from every node" % x)
+        if any(nodes[n] == (x,) for n in hosts):
+            continue
         host = min(
             hosts,
             key=lambda n: (len(nodes[n]), _statespace(nodes[n], tree.cards), n),
@@ -268,6 +257,8 @@ def attach_singletons(tree: JoinTree, targets) -> JoinTree:
             twin = fresh
             fresh += 1
             nodes[twin] = nodes[host]
+            for v in nodes[twin]:
+                holders[v].append(twin)
             moved = sorted(adj[host])[2:]
             adj[twin] = set(moved)
             for q in moved:
@@ -325,14 +316,15 @@ def junction_tree(bjt: JoinTree) -> JoinTree:
 
 def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
     """Attach each potential to the smallest containing node (ties: lowest id)."""
+    holders = tree.holders()
     assignments = {}
     for i, pot in enumerate(potentials):
         dom = set(pot.domain)
-        hosts = [n for n in tree.nodes if dom <= set(tree.nodes[n])]
+        candidates = holders.get(pot.domain[0], ()) if pot.domain else tree.nodes
+        hosts = [n for n in candidates if dom <= set(tree.nodes[n])]
         if not hosts:
             raise CompileError("potential domain %r fits no tree node" % (pot.domain,))
-        host = min(hosts, key=lambda n: (tree.statespace(n), n))
-        assignments.setdefault(host, []).append(i)
+        assignments.setdefault(tree.smallest(hosts), []).append(i)
     tree.assignments = assignments
     return tree
 
@@ -356,17 +348,15 @@ def verify_join_tree(tree: JoinTree) -> list:
         problems.append("tree is disconnected")
         return problems
 
-    variables = sorted({v for dom in tree.nodes.values() for v in dom})
-    for x in variables:
-        holders = {n for n in ids if x in tree.nodes[n]}
-        start = min(holders)
-        stack, reached = [start], {start}
+    for x, nids in sorted(tree.holders().items()):
+        held = set(nids)
+        stack, reached = [nids[0]], {nids[0]}
         while stack:
             for q in tree.adj[stack.pop()]:
-                if q in holders and q not in reached:
+                if q in held and q not in reached:
                     reached.add(q)
                     stack.append(q)
-        if reached != holders:
+        if reached != held:
             problems.append("running intersection fails for variable %r" % x)
     if tree.kind == "binary":
         for n in ids:
@@ -384,12 +374,11 @@ class CompileResult:
     binary: JoinTree
 
 
-def compile_structures(net: BayesNet, evidence: dict, order=None) -> CompileResult:
+def compile_structures(net: BayesNet, evidence: dict) -> CompileResult:
     """Build both assigned structures from one elimination order."""
     pots, hypergraph = input_potentials(net, evidence)
     cards = net.cards
-    if order is None:
-        order = elimination_order(moral_graph(net), cards)
+    order = elimination_order(moral_graph(net), cards)
     bjt = condense(binary_join_tree(hypergraph, cards, order))
     bjt = attach_singletons(bjt, list(cards))
     jt = junction_tree(bjt)
@@ -399,4 +388,4 @@ def compile_structures(net: BayesNet, evidence: dict, order=None) -> CompileResu
         problems = verify_join_tree(tree)
         if problems:
             raise CompileError("compiled %s tree invalid: %s" % (tree.kind, "; ".join(problems)))
-    return CompileResult(list(order), pots, hypergraph, jt, bjt)
+    return CompileResult(order, pots, hypergraph, jt, bjt)

@@ -21,18 +21,8 @@ class OpCounter:
         t = self.adds + self.mults + self.divs * div_weight
         return int(t) if float(t).is_integer() else t
 
-    def merge(self, other: "OpCounter") -> "OpCounter":
-        return OpCounter(
-            self.adds + other.adds,
-            self.mults + other.mults,
-            self.divs + other.divs,
-        )
-
     def as_tuple(self):
         return (self.adds, self.mults, self.divs)
-
-    def copy(self) -> "OpCounter":
-        return OpCounter(self.adds, self.mults, self.divs)
 
     def __str__(self):
         return "adds=%d mults=%d divs=%d total=%d" % (

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from bnbench.compile import CompileResult, JoinTree, compile_structures
+from bnbench.compile import JoinTree, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.network import BayesNet
 from bnbench.potentials import (
@@ -103,23 +103,21 @@ def _edge_key(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def _designated(tree: JoinTree, x: int) -> int:
+def _designated(tree: JoinTree, holders: dict, x: int) -> int:
     """Smallest-state-space node containing x; ties by lowest id."""
-    holders = [n for n in sorted(tree.nodes) if x in tree.nodes[n]]
-    if not holders:
+    if x not in holders:
         raise EngineError("variable %r absent from every tree node" % x)
-    return min(holders, key=lambda n: (tree.statespace(n), n))
+    return tree.smallest(holders[x])
 
 
-def _best_separator(tree: JoinTree, x: int):
-    """Smallest separator containing x as (state space, edge), or None."""
-    best = None
-    for u, v in tree.edges():
-        if x in tree.separator(u, v):
-            cand = (tree.sep_statespace(u, v), (u, v))
-            if best is None or cand < best:
-                best = cand
-    return best
+def _best_separator(tree: JoinTree, holders: dict, x: int):
+    """Smallest separator containing x as (state space, edge), or None.
+
+    A separator contains x exactly when both ends of its edge hold x.
+    """
+    held = set(holders.get(x, ()))
+    edges = [(u, v) for u in held for v in tree.adj[u] if u < v and v in held]
+    return min(((tree.sep_statespace(u, v), (u, v)) for u, v in edges), default=None)
 
 
 def _targets(tree: JoinTree, targets):
@@ -162,9 +160,10 @@ def ls_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
             msg = marginalize(t, tree.separator(n, c), counter)
             tables[c] = _absorb(tables[c], msg, tree.cards, counter)
 
+    holders = tree.holders()
     marginals = {}
     for x in targets:
-        source = tables[_designated(tree, x)]
+        source = tables[_designated(tree, holders, x)]
         marginals[x] = normalize(marginalize(source, (x,), counter))
     return EngineResult("ls", tree.kind, marginals, tables, counter, {})
 
@@ -226,13 +225,14 @@ def hugin_run(tree: JoinTree, potentials, targets=None, counter=None, on_step=No
             if on_step is not None:
                 on_step("outward", n, c, tables, store)
 
+    holders = tree.holders()
     marginals = {}
     for x in targets:
-        best = _best_separator(tree, x)
+        best = _best_separator(tree, holders, x)
         if best is not None and store.get(best[1]) is not None:
             source = store[best[1]]
         else:
-            source = tables[_designated(tree, x)]
+            source = tables[_designated(tree, holders, x)]
         marginals[x] = normalize(marginalize(source, (x,), counter))
     return EngineResult("hugin", tree.kind, marginals, tables, counter, store)
 
@@ -320,13 +320,14 @@ def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
                 node_marginals[n] = prod
         return node_marginals[n]
 
+    holders = tree.holders()
     sep_products = {}
     marginals = {}
     for x in targets:
-        designated = _designated(tree, x)
+        designated = _designated(tree, holders, x)
         node_marg = rule2(designated)
         source = None
-        best = _best_separator(tree, x)
+        best = _best_separator(tree, holders, x)
         if best is not None and best[0] < tree.statespace(designated):
             u, v = best[1]
             if (u, v) not in sep_products:
@@ -349,14 +350,13 @@ def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
     return EngineResult("ss", tree.kind, marginals, node_marginals, counter, messages)
 
 
-def run_all(net: BayesNet, evidence: dict, targets=None, comp: CompileResult = None) -> dict:
+def run_all(net: BayesNet, evidence: dict, targets=None) -> dict:
     """LS and Hugin on the junction tree, SS on the binary join tree.
 
     One compilation (one elimination order) feeds all three runs, each with
     a fresh counter.
     """
-    if comp is None:
-        comp = compile_structures(net, evidence)
+    comp = compile_structures(net, evidence)
     return {
         "ls": ls_run(comp.junction, comp.potentials, targets),
         "hugin": hugin_run(comp.junction, comp.potentials, targets),

@@ -13,7 +13,7 @@ division.  Normalization is deliberately uncounted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class Potential:
     """Immutable dense table over an ordered variable-id domain.
 
     ``values.shape`` carries the per-variable cardinalities in domain order.
-    ``is_identity`` is True only for tables built by :func:`identity_potential`;
-    the mark never survives arithmetic.
+    ``is_identity`` marks an all-ones neutral table, such as the ones
+    :func:`identity_over` builds; the mark never survives arithmetic.
     """
 
     __slots__ = ("domain", "values", "is_identity")
@@ -84,24 +84,6 @@ def make_potential(domain: Sequence[Variable], values) -> Potential:
     if np.any(arr < 0):
         raise PotentialError("negative value in potential")
     return Potential(ids, arr.reshape(cards))
-
-
-def from_values(domain_ids: Sequence[int], cards: Sequence[int], values) -> Potential:
-    """Internal constructor from raw ids and cardinalities."""
-    arr = np.asarray(values, dtype=np.float64).reshape(tuple(cards))
-    return Potential(tuple(domain_ids), arr)
-
-
-def identity_potential(domain: Sequence[Variable]) -> Potential:
-    """All-ones potential; carries the identity mark until arithmetic touches it."""
-    ids = tuple(v.id for v in domain)
-    cards = tuple(v.cardinality for v in domain)
-    return Potential(ids, np.ones(cards), is_identity=True)
-
-
-def identity_scalar() -> Potential:
-    """The empty-domain unit element."""
-    return Potential((), np.ones(()), is_identity=True)
 
 
 def identity_over(domain: Sequence[int], cards: dict) -> Potential:
@@ -188,23 +170,3 @@ def normalize(a: Potential) -> Potential:
     if total <= 0.0:
         raise PotentialError("cannot normalize zero-mass potential")
     return Potential(a.domain, a.values / total)
-
-
-def iter_configurations(domain: Sequence[int], cards: dict) -> Iterator[dict]:
-    """Yield assignments (var id -> state index) in row-major order, last fastest."""
-    domain = tuple(domain)
-    if not domain:
-        yield {}
-        return
-    head, tail = domain[0], domain[1:]
-    for state in range(cards[head]):
-        for rest in iter_configurations(tail, cards):
-            cfg = {head: state}
-            cfg.update(rest)
-            yield cfg
-
-
-def value_at(pot: Potential, config: dict) -> float:
-    """Look up a single configuration (projection of ``config`` to the domain)."""
-    idx = tuple(config[v] for v in pot.domain)
-    return float(pot.values[idx])

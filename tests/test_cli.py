@@ -1,5 +1,6 @@
 import pytest
 
+from bnbench import cli
 from bnbench.cli import main
 
 
@@ -142,6 +143,23 @@ class TestBench:
         ]
         assert main(argv) == 0
         assert "oracle check: 0 failures" in capsys.readouterr().out
+
+    def test_verify_oracle_reuses_the_trial_run(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        compile_structures = cli.compile_structures
+
+        def counted(*args):
+            calls.append(args)
+            return compile_structures(*args)
+
+        monkeypatch.setattr(cli, "compile_structures", counted)
+        argv = [
+            "bench", "--params", "5,5,2,2,1", "--trials", "3", "--seed", "2",
+            "--out", str(tmp_path / "rows.csv"), "--verify-oracle",
+        ]
+        assert main(argv) == 0
+        assert "oracle check: 0 failures" in capsys.readouterr().out
+        assert len(calls) == 3
 
     def test_bad_params_is_usage_error(self, capsys):
         assert main(["bench", "--params", "6,5,2", "--trials", "1"]) == 2

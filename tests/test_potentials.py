@@ -10,17 +10,13 @@ from bnbench.potentials import (
     Variable,
     divide,
     embed,
-    from_values,
     identity_over,
-    identity_potential,
-    identity_scalar,
-    iter_configurations,
     make_potential,
     marginalize,
     multiply,
     normalize,
-    value_at,
 )
+from helpers import from_values, identity_potential, identity_scalar, iter_configurations, value_at
 
 A = Variable(0, "A", 2)
 B = Variable(1, "B", 2)
