@@ -220,6 +220,17 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+def _tolerance(text):
+    """argparse type for ``--tolerance``: a finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text) from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("must be a finite number >= 0, got %r" % text)
+    return value
+
+
 def _parse_params(spec, seed):
     parts = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if all("=" in tok for tok in parts) and parts:
@@ -308,7 +319,7 @@ def cmd_bench(args):
         for arch in ARCHES:
             for x, pot in marginals[arch].items():
                 dev = float(np.abs(pot.values.reshape(-1) - oracle[x]).max())
-                if dev > args.tolerance:
+                if not dev <= args.tolerance:
                     failures += 1
                     print(
                         "trial %d arch %s variable %d deviates %.3e" % (t, arch, x, dev),
@@ -449,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="compare architectures to the brute-force joint")
     vf.add_argument("--network", required=True)
-    vf.add_argument("--tolerance", type=float, default=1e-9)
+    vf.add_argument("--tolerance", type=_tolerance, default=1e-9)
     vf.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     vf.add_argument("--corrupt", choices=ARCHES, help=argparse.SUPPRESS)
     vf.set_defaults(func=cmd_verify)
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--seed", type=int, default=0, help="master seed")
     bn.add_argument("--out", help="CSV path (default: rows to stdout)")
     bn.add_argument("--verify-oracle", action="store_true")
-    bn.add_argument("--tolerance", type=float, default=1e-9)
+    bn.add_argument("--tolerance", type=_tolerance, default=1e-9)
     bn.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     bn.set_defaults(func=cmd_bench)
 

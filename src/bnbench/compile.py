@@ -9,6 +9,7 @@ every step is deterministic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from bnbench.network import BayesNet, input_potentials
@@ -94,34 +95,49 @@ def moral_graph(net: BayesNet) -> dict:
 
 
 def elimination_order(graph: dict, cards: dict) -> list:
-    """Greedy min-fill order; ties by resulting clique state space, then id."""
+    """Greedy min-fill order; ties by resulting clique state space, then id.
+
+    Each live vertex's key ``(fill, space, v)`` sits in a heap.  Eliminating
+    v changes only the neighborhoods of v's neighbors and the edges among
+    their neighbors, so only those keys are recomputed; superseded heap
+    entries are skipped when popped.  Keys are unique by v, so the heap's
+    minimum is the vertex a full scan would pick.
+    """
     adj = {v: set(nbrs) for v, nbrs in graph.items()}
-    remaining = set(adj)
+
+    def key(v):
+        nbrs = adj[v]
+        # each missing edge {a, b} among the neighbors is seen from a and from b
+        missing = sum(len(nbrs) - 1 - len(nbrs & adj[a]) for a in nbrs)
+        space = cards[v]
+        for u in nbrs:
+            space *= cards[u]
+        return (missing // 2, space, v)
+
+    current = {v: key(v) for v in adj}
+    heap = list(current.values())
+    heapq.heapify(heap)
     order = []
-    while remaining:
-        best = None
-        for v in sorted(remaining):
-            nbrs = adj[v] & remaining
-            fill = 0
-            ns = sorted(nbrs)
-            for i in range(len(ns)):
-                for j in range(i + 1, len(ns)):
-                    if ns[j] not in adj[ns[i]]:
-                        fill += 1
-            space = cards[v]
-            for u in nbrs:
-                space *= cards[u]
-            key = (fill, space, v)
-            if best is None or key < best[0]:
-                best = (key, v, nbrs)
-        _, v, nbrs = best
-        ns = sorted(nbrs)
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                adj[ns[i]].add(ns[j])
-                adj[ns[j]].add(ns[i])
-        remaining.remove(v)
+    while heap:
+        k = heapq.heappop(heap)
+        v = k[2]
+        if current.get(v) != k:
+            continue
+        del current[v]
         order.append(v)
+        nbrs = adj.pop(v)
+        for a in nbrs:
+            adj[a].discard(v)
+            adj[a] |= nbrs
+            adj[a].discard(a)
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
+        for u in touched:
+            k = key(u)
+            if current[u] != k:
+                current[u] = k
+                heapq.heappush(heap, k)
     return order
 
 
@@ -141,55 +157,57 @@ def binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
     the two pool nodes of smallest state space (ties by lowest id) that
     contain it, then leaves a continuation node on the union minus the
     variable.  Seeding all singletons up front is what puts every variable's
-    singleton into the final tree while keeping it binary.
+    singleton into the final tree while keeping it binary.  The pool is held
+    as an index from each variable to the pool nodes containing it.
     """
     nodes = {}
     adj = {}
+    pool = {v: set() for v in cards}
+
+    def add(dom):
+        nid = len(nodes)
+        nodes[nid] = dom
+        adj[nid] = []
+        for x in dom:
+            pool[x].add(nid)
+        return nid
+
     for v in sorted(cards):
-        nodes[v] = (v,)
-        adj[v] = []
+        add((v,))
     seen = set()
     for dom in hypergraph:
         dom = tuple(sorted(dom))
         if len(dom) < 2 or dom in seen:
             continue
         seen.add(dom)
-        nid = len(nodes)
-        nodes[nid] = dom
-        adj[nid] = []
-    fresh = len(nodes)
-    pool = set(nodes)
+        add(dom)
 
     def connect(a, b):
         adj[a].append(b)
         adj[b].append(a)
 
+    def leave(nid):
+        for x in nodes[nid]:
+            pool[x].discard(nid)
+
     for position, y in enumerate(order):
-        phi = [n for n in pool if y in nodes[n]]
+        phi = [(_statespace(nodes[n], cards), n) for n in pool[y]]
+        heapq.heapify(phi)
         while len(phi) > 1:
-            phi.sort(key=lambda n: (_statespace(nodes[n], cards), n))
-            r, s = phi[0], phi[1]
-            t = fresh
-            fresh += 1
-            nodes[t] = tuple(sorted(set(nodes[r]) | set(nodes[s])))
-            adj[t] = []
+            r = heapq.heappop(phi)[1]
+            s = heapq.heappop(phi)[1]
+            leave(r)
+            leave(s)
+            t = add(tuple(sorted(set(nodes[r]) | set(nodes[s]))))
             connect(r, t)
             connect(s, t)
-            pool.discard(r)
-            pool.discard(s)
-            pool.add(t)
-            phi = phi[2:] + [t]
-        u = phi[0]
-        pool.discard(u)
+            heapq.heappush(phi, (_statespace(nodes[t], cards), t))
+        u = phi[0][1]
+        leave(u)
         if position < len(order) - 1:
             cont = tuple(x for x in nodes[u] if x != y)
             if cont:
-                w = fresh
-                fresh += 1
-                nodes[w] = cont
-                adj[w] = []
-                connect(u, w)
-                pool.add(w)
+                connect(u, add(cont))
     tree = JoinTree("binary", nodes, {n: sorted(adj[n]) for n in nodes}, dict(cards))
     problems = verify_join_tree(tree)
     if problems:
@@ -200,34 +218,35 @@ def binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
 def condense(tree: JoinTree) -> JoinTree:
     """Merge adjacent duplicate-domain nodes while every degree stays <= 3.
 
-    Candidate pairs are scanned in (min id, max id) order; the first
-    eligible pair merges into its lower id and the scan restarts, so the
+    An adjacent equal-domain pair (lo, hi) is eligible when the merged node
+    would have at most three neighbors.  Each step merges the smallest
+    eligible (lo, hi) pair into lo, until no eligible pair is left, so the
     fixpoint is deterministic.
+
+    Merging an edge of a tree changes the neighbor count of the merged node
+    only, so an ineligible pair can become eligible only after one of its
+    ends merges; the pairs touching the merged node are then queued again.
     """
     nodes = dict(tree.nodes)
     adj = {n: set(tree.adj[n]) for n in nodes}
-    changed = True
-    while changed:
-        changed = False
-        pairs = sorted(
-            (min(u, v), max(u, v))
-            for u in nodes
-            for v in adj[u]
-            if nodes[u] == nodes[v]
-        )
-        for lo, hi in pairs:
-            merged_nbrs = (adj[lo] | adj[hi]) - {lo, hi}
-            if len(merged_nbrs) > 3:
-                continue
-            for q in adj[hi] - {lo}:
-                adj[q].discard(hi)
-                adj[q].add(lo)
-            adj[lo] = merged_nbrs
-            del nodes[hi], adj[hi]
-            changed = True
-            break
-    out = JoinTree(tree.kind, nodes, {n: sorted(adj[n]) for n in nodes}, dict(tree.cards))
-    return out
+    heap = [(u, v) for u in nodes for v in adj[u] if u < v and nodes[u] == nodes[v]]
+    heapq.heapify(heap)
+    while heap:
+        lo, hi = heapq.heappop(heap)
+        if lo not in adj or hi not in adj[lo]:
+            continue
+        merged_nbrs = (adj[lo] | adj[hi]) - {lo, hi}
+        if len(merged_nbrs) > 3:
+            continue
+        for q in adj[hi] - {lo}:
+            adj[q].discard(hi)
+            adj[q].add(lo)
+        adj[lo] = merged_nbrs
+        del nodes[hi], adj[hi]
+        for q in adj[lo]:
+            if nodes[q] == nodes[lo]:
+                heapq.heappush(heap, (min(lo, q), max(lo, q)))
+    return JoinTree(tree.kind, nodes, {n: sorted(adj[n]) for n in nodes}, dict(tree.cards))
 
 
 def attach_singletons(tree: JoinTree, targets) -> JoinTree:
@@ -279,35 +298,36 @@ def attach_singletons(tree: JoinTree, targets) -> JoinTree:
 def junction_tree(bjt: JoinTree) -> JoinTree:
     """Contract a binary join tree onto its maximal nodes.
 
-    Every node whose domain is contained in a neighbor's domain is absorbed
-    into its lowest-id containing neighbor (equal domains absorb into the
-    lower id) until only the pairwise-incomparable maximal nodes remain.
-    The result is a maximum-weight spanning tree of the clique graph, and
-    surviving nodes are relabeled 0..k-1 in old-id order.
+    A node is absorbable when a neighbor's domain strictly contains its own,
+    or equals it with a lower id.  Each step absorbs the lowest absorbable
+    id into its lowest-id such neighbor, until only the
+    pairwise-incomparable maximal nodes remain.  Domains never change, so an
+    absorption can make only the target and the absorbed node's other
+    neighbors absorbable; those are the ids queued again.  The result is a
+    maximum-weight spanning tree of the clique graph, and surviving nodes
+    are relabeled 0..k-1 in old-id order.
     """
     nodes = dict(bjt.nodes)
     adj = {n: set(bjt.adj[n]) for n in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for nid in sorted(nodes):
-            dom = set(nodes[nid])
-            hosts = [
-                q
-                for q in adj[nid]
-                if dom < set(nodes[q]) or (dom == set(nodes[q]) and q < nid)
-            ]
-            if not hosts:
-                continue
-            target = min(hosts)
-            for q in adj[nid] - {target}:
-                adj[q].discard(nid)
-                adj[q].add(target)
-                adj[target].add(q)
-            adj[target].discard(nid)
-            del nodes[nid], adj[nid]
-            changed = True
-            break
+    doms = {n: frozenset(nodes[n]) for n in nodes}
+    heap = sorted(nodes)
+    while heap:
+        nid = heapq.heappop(heap)
+        if nid not in nodes:
+            continue
+        dom = doms[nid]
+        hosts = [q for q in adj[nid] if dom < doms[q] or (dom == doms[q] and q < nid)]
+        if not hosts:
+            continue
+        target = min(hosts)
+        for q in adj[nid] - {target}:
+            adj[q].discard(nid)
+            adj[q].add(target)
+            adj[target].add(q)
+            heapq.heappush(heap, q)
+        adj[target].discard(nid)
+        del nodes[nid], adj[nid]
+        heapq.heappush(heap, target)
     relabel = {old: new for new, old in enumerate(sorted(nodes))}
     out_nodes = {relabel[n]: nodes[n] for n in nodes}
     out_adj = {relabel[n]: sorted(relabel[q] for q in adj[n]) for n in nodes}

@@ -3,7 +3,9 @@
 The potential constructors and configuration walkers build and inspect
 tables cell by cell, independently of the vectorized algebra under test.
 The ``reference_*`` functions are the straightforward scans over every node
-or edge that the holder-indexed choices in ``bnbench`` must reproduce.
+or edge that the holder-indexed choices in ``bnbench`` must reproduce, and
+the restart-from-scratch compile loops that the worklist versions in
+``bnbench.compile`` must match choice for choice.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from bnbench.compile import JoinTree
+from bnbench.compile import JoinTree, _statespace
 from bnbench.potentials import Potential, Variable
 
 
@@ -100,3 +102,145 @@ def reference_host(tree: JoinTree, domain) -> int:
     dom = set(domain)
     hosts = [n for n in tree.nodes if dom <= set(tree.nodes[n])]
     return min(hosts, key=lambda n: (tree.statespace(n), n))
+
+
+def reference_elimination_order(graph: dict, cards: dict) -> list:
+    """Min-fill order by a full scan of every remaining vertex per step."""
+    adj = {v: set(nbrs) for v, nbrs in graph.items()}
+    remaining = set(adj)
+    order = []
+    while remaining:
+        best = None
+        for v in sorted(remaining):
+            nbrs = adj[v] & remaining
+            fill = 0
+            ns = sorted(nbrs)
+            for i in range(len(ns)):
+                for j in range(i + 1, len(ns)):
+                    if ns[j] not in adj[ns[i]]:
+                        fill += 1
+            space = cards[v]
+            for u in nbrs:
+                space *= cards[u]
+            key = (fill, space, v)
+            if best is None or key < best[0]:
+                best = (key, v, nbrs)
+        _, v, nbrs = best
+        ns = sorted(nbrs)
+        for i in range(len(ns)):
+            for j in range(i + 1, len(ns)):
+                adj[ns[i]].add(ns[j])
+                adj[ns[j]].add(ns[i])
+        remaining.remove(v)
+        order.append(v)
+    return order
+
+
+def reference_binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
+    """Fusion construction that scans and re-sorts the whole pool per step."""
+    nodes = {}
+    adj = {}
+    for v in sorted(cards):
+        nodes[v] = (v,)
+        adj[v] = []
+    seen = set()
+    for dom in hypergraph:
+        dom = tuple(sorted(dom))
+        if len(dom) < 2 or dom in seen:
+            continue
+        seen.add(dom)
+        nid = len(nodes)
+        nodes[nid] = dom
+        adj[nid] = []
+    fresh = len(nodes)
+    pool = set(nodes)
+
+    def connect(a, b):
+        adj[a].append(b)
+        adj[b].append(a)
+
+    for position, y in enumerate(order):
+        phi = [n for n in pool if y in nodes[n]]
+        while len(phi) > 1:
+            phi.sort(key=lambda n: (_statespace(nodes[n], cards), n))
+            r, s = phi[0], phi[1]
+            t = fresh
+            fresh += 1
+            nodes[t] = tuple(sorted(set(nodes[r]) | set(nodes[s])))
+            adj[t] = []
+            connect(r, t)
+            connect(s, t)
+            pool.discard(r)
+            pool.discard(s)
+            pool.add(t)
+            phi = phi[2:] + [t]
+        u = phi[0]
+        pool.discard(u)
+        if position < len(order) - 1:
+            cont = tuple(x for x in nodes[u] if x != y)
+            if cont:
+                w = fresh
+                fresh += 1
+                nodes[w] = cont
+                adj[w] = []
+                connect(u, w)
+                pool.add(w)
+    return JoinTree("binary", nodes, {n: sorted(adj[n]) for n in nodes}, dict(cards))
+
+
+def reference_condense(tree: JoinTree) -> JoinTree:
+    """Condensation that rescans every pair after each merge."""
+    nodes = dict(tree.nodes)
+    adj = {n: set(tree.adj[n]) for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        pairs = sorted(
+            (min(u, v), max(u, v))
+            for u in nodes
+            for v in adj[u]
+            if nodes[u] == nodes[v]
+        )
+        for lo, hi in pairs:
+            merged_nbrs = (adj[lo] | adj[hi]) - {lo, hi}
+            if len(merged_nbrs) > 3:
+                continue
+            for q in adj[hi] - {lo}:
+                adj[q].discard(hi)
+                adj[q].add(lo)
+            adj[lo] = merged_nbrs
+            del nodes[hi], adj[hi]
+            changed = True
+            break
+    return JoinTree(tree.kind, nodes, {n: sorted(adj[n]) for n in nodes}, dict(tree.cards))
+
+
+def reference_junction_tree(bjt: JoinTree) -> JoinTree:
+    """Contraction that rescans every node after each absorption."""
+    nodes = dict(bjt.nodes)
+    adj = {n: set(bjt.adj[n]) for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for nid in sorted(nodes):
+            dom = set(nodes[nid])
+            hosts = [
+                q
+                for q in adj[nid]
+                if dom < set(nodes[q]) or (dom == set(nodes[q]) and q < nid)
+            ]
+            if not hosts:
+                continue
+            target = min(hosts)
+            for q in adj[nid] - {target}:
+                adj[q].discard(nid)
+                adj[q].add(target)
+                adj[target].add(q)
+            adj[target].discard(nid)
+            del nodes[nid], adj[nid]
+            changed = True
+            break
+    relabel = {old: new for new, old in enumerate(sorted(nodes))}
+    out_nodes = {relabel[n]: nodes[n] for n in nodes}
+    out_adj = {relabel[n]: sorted(relabel[q] for q in adj[n]) for n in nodes}
+    return JoinTree("junction", out_nodes, out_adj, dict(bjt.cards))

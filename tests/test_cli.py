@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bnbench import cli
@@ -110,6 +111,12 @@ class TestVerify:
     def test_missing_file(self, capsys):
         assert main(["verify", "--network", "/does/not/exist.json"]) == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9", "tight"])
+    def test_rejects_bad_tolerance(self, chest_file, capsys, tolerance):
+        argv = ["verify", "--network", chest_file, "--tolerance=" + tolerance]
+        assert main(argv) == 2
+        assert "--tolerance" in capsys.readouterr().err
+
 
 class TestBench:
     def test_stdout_rows_are_deterministic(self, capsys):
@@ -160,6 +167,31 @@ class TestBench:
         assert main(argv) == 0
         assert "oracle check: 0 failures" in capsys.readouterr().out
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-9", "tight"])
+    def test_rejects_bad_tolerance(self, tmp_path, capsys, tolerance):
+        argv = [
+            "bench", "--params", "5,5,2,2,1", "--trials", "1",
+            "--out", str(tmp_path / "rows.csv"), "--verify-oracle", "--tolerance=" + tolerance,
+        ]
+        assert main(argv) == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_verify_oracle_fails_on_nan_deviation(self, tmp_path, monkeypatch, capsys):
+        oracle_marginals = cli.oracle_marginals
+
+        def nan_oracle(*args):
+            return {x: np.full_like(p, np.nan) for x, p in oracle_marginals(*args).items()}
+
+        monkeypatch.setattr(cli, "oracle_marginals", nan_oracle)
+        argv = [
+            "bench", "--params", "5,5,2,2,1", "--trials", "2", "--seed", "2",
+            "--out", str(tmp_path / "rows.csv"), "--verify-oracle",
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "deviates nan" in captured.err
+        assert "oracle check: 30 failures" in captured.out
 
     def test_bad_params_is_usage_error(self, capsys):
         assert main(["bench", "--params", "6,5,2", "--trials", "1"]) == 2

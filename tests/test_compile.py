@@ -1,4 +1,6 @@
-import numpy as np
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +15,16 @@ from bnbench.compile import (
     moral_graph,
     verify_join_tree,
 )
+from bnbench.fileio import tree_dump
 from bnbench.generate import GenParams, random_case
 from bnbench.network import input_potentials
-from helpers import triangulate
+from helpers import (
+    reference_binary_join_tree,
+    reference_condense,
+    reference_elimination_order,
+    reference_junction_tree,
+    triangulate,
+)
 
 CHEST_ORDER = [0, 6, 2, 7, 1, 3, 4, 5]
 
@@ -244,3 +253,87 @@ class TestVerifyJoinTree:
             assignments={},
         )
         assert any("neighbors" in p for p in verify_join_tree(tree))
+
+
+def _assert_stages_match_references(net, ev):
+    """Every compile stage makes the choices of its restart-loop reference."""
+    _, hypergraph = input_potentials(net, ev)
+    graph, cards = moral_graph(net), net.cards
+    order = elimination_order(graph, cards)
+    assert order == reference_elimination_order(graph, cards)
+    fused = binary_join_tree(hypergraph, cards, order)
+    condensed = condense(fused)
+    seeded = attach_singletons(condensed, list(cards))
+    for got, want in (
+        (fused, reference_binary_join_tree(hypergraph, cards, order)),
+        (condensed, reference_condense(fused)),
+        (junction_tree(seeded), reference_junction_tree(seeded)),
+    ):
+        assert got.nodes == want.nodes
+        assert got.adj == want.adj
+
+
+# sha256 of tree_dump(junction), tree_dump(binary) from the restart-loop compiler
+LARGE_CASES = [
+    (GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013), 0,
+     "9994d60986e91614c3414b89b6f6d878bbb976369d23461b47d368231ed9e483",
+     "d11c48d2112481ff437cd4b1d652b4c76bcf8201940bec82955256a194c5e09d"),
+    (GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013), 1,
+     "eeeefd32b9b718ba5a1c7db2dd1e557309144d06e09a58a8e2c073fb771fe689",
+     "6cbeac390679434985e70e5012cf7b12feae3cbcfcb0bf41cba222be7cff6cdc"),
+    (GenParams(n=400, c1=5, c2=2, m=2, p=1, seed=3), 0,
+     "c05ac6a70bdd0f714c957e79442b457a693ca9e4b9e6ef755715327ef8d04b99",
+     "44e718235d20f5bc41afc13bfd9eb47a1696f076c2f4b24e1e8f37b10596e4f1"),
+]
+
+
+class TestWorklistCompileMatchesReference:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 40),
+        st.integers(2, 5),
+        st.integers(2, 4),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_networks(self, seed, n, c2, m, p):
+        net, ev = random_case(GenParams(n=n, c2=c2, m=m, p=min(p, n), seed=seed), 0)
+        _assert_stages_match_references(net, ev)
+
+    @pytest.mark.parametrize(
+        "params,trial,jt_sha,bjt_sha", LARGE_CASES, ids=["long-0", "long-1", "n400-0"]
+    )
+    def test_large_cases(self, params, trial, jt_sha, bjt_sha):
+        net, ev = random_case(params, trial)
+        _assert_stages_match_references(net, ev)
+        comp = compile_structures(net, ev)
+        assert hashlib.sha256(tree_dump(comp.junction).encode()).hexdigest() == jt_sha
+        assert hashlib.sha256(tree_dump(comp.binary).encode()).hexdigest() == bjt_sha
+
+
+# The criterion-5 population (seed 55, 200 trials per preset) and the two
+# criterion-6 presets (seed 0, 1000 trials each) of tests/test_acceptance.py.
+CRITERION_5 = [
+    (GenParams(n=n, c2=c2, m=m, p=p, seed=55), 200)
+    for n, c2, m, p in [
+        (8, 2, 2, 1), (8, 2, 3, 1), (8, 3, 4, 2), (8, 4, 5, 2), (8, 5, 6, 3),
+        (10, 2, 2, 3), (10, 3, 3, 1), (12, 2, 3, 2), (6, 4, 4, 1), (9, 5, 5, 3),
+    ]
+]
+CRITERION_6 = [
+    (GenParams(n=8, c2=2, m=3, p=3, seed=0), 1000),
+    (GenParams(n=8, c2=5, m=6, p=3, seed=0), 1000),
+]
+
+
+@pytest.mark.parametrize("params,trials", CRITERION_5 + CRITERION_6)
+def test_attach_singletons_is_a_noop_on_acceptance_populations(params, trials):
+    for t in range(trials):
+        net, ev = random_case(params, t)
+        _, hypergraph = input_potentials(net, ev)
+        cards = net.cards
+        order = elimination_order(moral_graph(net), cards)
+        bjt = condense(binary_join_tree(hypergraph, cards, order))
+        out = attach_singletons(bjt, cards)
+        assert out.nodes == bjt.nodes
+        assert out.adj == bjt.adj
