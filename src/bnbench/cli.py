@@ -198,12 +198,14 @@ def cmd_verify(args):
     results, _ = _infer_results(net, evidence, "all", "auto", None)
     failed = False
     for res, _tree in results:
-        worst = 0.0
+        devs = []
         for x, pot in res.singleton_marginals.items():
             got = pot.values.reshape(-1)
             if args.corrupt == res.arch:
                 got = got + 1e-3
-            worst = max(worst, float(np.abs(got - oracle[x]).max()))
+            devs.append(np.abs(got - oracle[x]).max())
+        # np.max keeps a NaN deviation, which the builtin max would drop
+        worst = float(np.max(devs, initial=0.0))
         ok = worst <= args.tolerance
         failed = failed or not ok
         print(
@@ -220,14 +222,25 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def _tolerance(text):
-    """argparse type for ``--tolerance``: a finite, non-negative float."""
+def _finite_non_negative(text):
+    """argparse type for ``--tolerance`` and ``--div-weight``: a finite float >= 0."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("not a number: %r" % text) from None
     if not 0.0 <= value < float("inf"):
         raise argparse.ArgumentTypeError("must be a finite number >= 0, got %r" % text)
+    return value
+
+
+def _positive_int(text):
+    """argparse type for ``--oracle-cap``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
     return value
 
 
@@ -460,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="compare architectures to the brute-force joint")
     vf.add_argument("--network", required=True)
-    vf.add_argument("--tolerance", type=_tolerance, default=1e-9)
-    vf.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    vf.add_argument("--tolerance", type=_finite_non_negative, default=1e-9)
+    vf.add_argument("--oracle-cap", type=_positive_int, default=ORACLE_CAP)
     vf.add_argument("--corrupt", choices=ARCHES, help=argparse.SUPPRESS)
     vf.set_defaults(func=cmd_verify)
 
@@ -475,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--seed", type=int, default=0, help="master seed")
     bn.add_argument("--out", help="CSV path (default: rows to stdout)")
     bn.add_argument("--verify-oracle", action="store_true")
-    bn.add_argument("--tolerance", type=_tolerance, default=1e-9)
-    bn.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    bn.add_argument("--tolerance", type=_finite_non_negative, default=1e-9)
+    bn.add_argument("--oracle-cap", type=_positive_int, default=ORACLE_CAP)
     bn.set_defaults(func=cmd_bench)
 
     rp = sub.add_parser("report", help="aggregate CSV rows into a comparison table")
@@ -484,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--format", choices=("text", "csv", "markdown"), default="text")
     rp.add_argument(
         "--div-weight",
-        type=float,
+        type=_finite_non_negative,
         default=1.0,
         help="weight of a division relative to an addition or multiplication",
     )

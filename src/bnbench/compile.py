@@ -11,12 +11,31 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from bnbench.network import BayesNet, input_potentials
 
 
 class CompileError(ValueError):
     """Impossible compilation request or broken intermediate structure."""
+
+
+def _statespace(domain, cards):
+    size = 1
+    for v in domain:
+        size *= cards[v]
+    return size
+
+
+class Rooting(NamedTuple):
+    """A tree rooted at ``root``: traversal orders and parent/child maps."""
+
+    root: int
+    preorder: list
+    postorder: list
+    parent: dict
+    children: dict
 
 
 @dataclass
@@ -28,6 +47,13 @@ class JoinTree:
     cards: variable id -> cardinality.
     assignments: node id -> list of indices into the compiled potential list.
     kind: "junction" or "binary".
+
+    ``nodes``, ``adj`` and ``cards`` are never changed once a tree is built:
+    every compile stage builds a new tree.  So the structural index (the
+    cached properties ``spaces``, ``separators``, ``sep_spaces``,
+    ``holders``, ``rooting``, ``designated`` and ``best_separators``) is
+    computed on first use and kept for the life of the tree.  Code that
+    edits a tree's structure must build a new JoinTree instead.
     """
 
     kind: str
@@ -45,23 +71,38 @@ class JoinTree:
         return out
 
     def separator(self, u, v):
-        return tuple(sorted(set(self.nodes[u]) & set(self.nodes[v])))
+        """Variables shared by adjacent nodes u and v, ascending."""
+        return self.separators[u, v]
 
     def statespace(self, nid):
-        size = 1
-        for v in self.nodes[nid]:
-            size *= self.cards[v]
-        return size
+        return self.spaces[nid]
 
     def sep_statespace(self, u, v):
-        size = 1
-        for x in self.separator(u, v):
-            size *= self.cards[x]
-        return size
+        return self.sep_spaces[u, v]
 
     def degree(self, nid):
         return len(self.adj[nid])
 
+    @cached_property
+    def spaces(self) -> dict:
+        """Node id -> state space of its domain."""
+        return {n: _statespace(dom, self.cards) for n, dom in self.nodes.items()}
+
+    @cached_property
+    def separators(self) -> dict:
+        """(u, v) -> separator of the edge, under both orientations of every edge."""
+        out = {}
+        for u, v in self.edges():
+            sep = tuple(sorted(set(self.nodes[u]) & set(self.nodes[v])))
+            out[u, v] = out[v, u] = sep
+        return out
+
+    @cached_property
+    def sep_spaces(self) -> dict:
+        """(u, v) -> state space of the edge's separator, both orientations."""
+        return {edge: _statespace(sep, self.cards) for edge, sep in self.separators.items()}
+
+    @cached_property
     def holders(self) -> dict:
         """Variable id -> ascending ids of the nodes whose domain contains it."""
         out = {}
@@ -70,13 +111,63 @@ class JoinTree:
                 out.setdefault(v, []).append(n)
         return out
 
-    def smallest(self, nids) -> int:
-        """Smallest-state-space node among ``nids``; ties broken by lowest id."""
-        return min(nids, key=lambda n: (self.statespace(n), n))
+    @cached_property
+    def rooting(self) -> Rooting:
+        """The tree rooted at its biggest-state-space node (ties: lowest id).
 
-    def root(self):
-        """Biggest-state-space node; ties broken by lowest id."""
-        return min(sorted(self.nodes), key=lambda n: (-self.statespace(n), n))
+        Children keep ``adj`` order; the preorder visits them in that order
+        and the postorder lists every subtree before its root.
+        """
+        root = min(sorted(self.nodes), key=lambda n: (-self.spaces[n], n))
+        parent = {root: None}
+        children = {}
+        preorder = []
+        stack = [root]
+        while stack:
+            n = stack.pop()
+            preorder.append(n)
+            kids = [q for q in self.adj[n] if q != parent[n]]
+            children[n] = kids
+            for q in reversed(kids):
+                parent[q] = n
+                stack.append(q)
+        postorder = []
+        stack = [(root, False)]
+        while stack:
+            n, done = stack.pop()
+            if done:
+                postorder.append(n)
+                continue
+            stack.append((n, True))
+            for q in reversed(children[n]):
+                stack.append((q, False))
+        return Rooting(root, preorder, postorder, parent, children)
+
+    @cached_property
+    def designated(self) -> dict:
+        """Variable id -> its smallest-state-space holder node; ties by lowest id."""
+        out = {}
+        for n in sorted(self.nodes):
+            key = (self.spaces[n], n)
+            for x in self.nodes[n]:
+                if x not in out or key < out[x]:
+                    out[x] = key
+        return {x: key[1] for x, key in out.items()}
+
+    @cached_property
+    def best_separators(self) -> dict:
+        """Variable id -> (state space, (u, v)) of the smallest separator holding it.
+
+        Ties go to the lowest edge ``(u, v)`` with ``u < v``; a variable that
+        is in no separator has no entry.
+        """
+        out = {}
+        for edge in self.edges():
+            key = (self.sep_spaces[edge], edge)
+            for x in self.separators[edge]:
+                if x not in out or key < out[x]:
+                    out[x] = key
+        return out
 
 
 def moral_graph(net: BayesNet) -> dict:
@@ -139,13 +230,6 @@ def elimination_order(graph: dict, cards: dict) -> list:
                 current[u] = k
                 heapq.heappush(heap, k)
     return order
-
-
-def _statespace(domain, cards):
-    size = 1
-    for v in domain:
-        size *= cards[v]
-    return size
 
 
 def binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
@@ -254,22 +338,28 @@ def attach_singletons(tree: JoinTree, targets) -> JoinTree:
 
     Hosts are the fewest-variable containing nodes (ties: smallest state
     space, then lowest id).  A degree-3 host is first split into two copies
-    that share its neighbors, keeping every degree at 3 or less.  This is a
-    no-op on trees built by :func:`binary_join_tree`, which seeds all
-    singletons itself.
+    that share its neighbors, keeping every degree at 3 or less.  When every
+    target already has a singleton, as on every tree built by
+    :func:`binary_join_tree` (it seeds all singletons itself), ``tree`` itself
+    is returned; otherwise a new tree.
     """
-    nodes = dict(tree.nodes)
-    adj = {n: set(tree.adj[n]) for n in nodes}
-    holders = tree.holders()
-    fresh = max(nodes) + 1
+    missing = []
     for x in sorted(set(targets)):
-        hosts = holders.get(x)
+        hosts = tree.holders.get(x)
         if not hosts:
             raise CompileError("variable %r absent from every node" % x)
-        if any(nodes[n] == (x,) for n in hosts):
-            continue
+        if not any(tree.nodes[n] == (x,) for n in hosts):
+            missing.append(x)
+    if not missing:
+        return tree
+    nodes = dict(tree.nodes)
+    adj = {n: set(tree.adj[n]) for n in nodes}
+    # twins are added to these lists, so the tree's own index must not be shared
+    holders = {v: list(nids) for v, nids in tree.holders.items()}
+    fresh = max(nodes) + 1
+    for x in missing:
         host = min(
-            hosts,
+            holders[x],
             key=lambda n: (len(nodes[n]), _statespace(nodes[n], tree.cards), n),
         )
         if len(adj[host]) >= 3:
@@ -336,7 +426,7 @@ def junction_tree(bjt: JoinTree) -> JoinTree:
 
 def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
     """Attach each potential to the smallest containing node (ties: lowest id)."""
-    holders = tree.holders()
+    holders, spaces = tree.holders, tree.spaces
     assignments = {}
     for i, pot in enumerate(potentials):
         dom = set(pot.domain)
@@ -344,7 +434,7 @@ def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
         hosts = [n for n in candidates if dom <= set(tree.nodes[n])]
         if not hosts:
             raise CompileError("potential domain %r fits no tree node" % (pot.domain,))
-        assignments.setdefault(tree.smallest(hosts), []).append(i)
+        assignments.setdefault(min(hosts, key=lambda n: (spaces[n], n)), []).append(i)
     tree.assignments = assignments
     return tree
 
@@ -368,7 +458,7 @@ def verify_join_tree(tree: JoinTree) -> list:
         problems.append("tree is disconnected")
         return problems
 
-    for x, nids in sorted(tree.holders().items()):
+    for x, nids in sorted(tree.holders.items()):
         held = set(nids)
         stack, reached = [nids[0]], {nids[0]}
         while stack:

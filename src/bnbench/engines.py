@@ -46,33 +46,6 @@ class EngineResult:
     messages: dict
 
 
-def _orient(tree: JoinTree, root: int):
-    """Rooted traversal orders: preorder, postorder, parent and child maps."""
-    parent = {root: None}
-    children = {}
-    preorder = []
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        preorder.append(n)
-        kids = [q for q in tree.adj[n] if q != parent[n]]
-        children[n] = kids
-        for q in reversed(kids):
-            parent[q] = n
-            stack.append(q)
-    postorder = []
-    stack = [(root, False)]
-    while stack:
-        n, done = stack.pop()
-        if done:
-            postorder.append(n)
-            continue
-        stack.append((n, True))
-        for q in reversed(children[n]):
-            stack.append((q, False))
-    return preorder, postorder, parent, children
-
-
 def _absorb(table: Potential, pot: Potential, cards: dict, counter: OpCounter) -> Potential:
     """Fold ``pot`` into a node table: free copy when still marked, else product."""
     if table.is_identity:
@@ -103,21 +76,11 @@ def _edge_key(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def _designated(tree: JoinTree, holders: dict, x: int) -> int:
+def _designated(tree: JoinTree, x: int) -> int:
     """Smallest-state-space node containing x; ties by lowest id."""
-    if x not in holders:
+    if x not in tree.designated:
         raise EngineError("variable %r absent from every tree node" % x)
-    return tree.smallest(holders[x])
-
-
-def _best_separator(tree: JoinTree, holders: dict, x: int):
-    """Smallest separator containing x as (state space, edge), or None.
-
-    A separator contains x exactly when both ends of its edge hold x.
-    """
-    held = set(holders.get(x, ()))
-    edges = [(u, v) for u in held for v in tree.adj[u] if u < v and v in held]
-    return min(((tree.sep_statespace(u, v), (u, v)) for u, v in edges), default=None)
+    return tree.designated[x]
 
 
 def _targets(tree: JoinTree, targets):
@@ -138,8 +101,7 @@ def ls_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
     tables = _init_tables(tree, potentials, counter)
-    root = tree.root()
-    preorder, postorder, parent, children = _orient(tree, root)
+    root, preorder, postorder, parent, children = tree.rooting
 
     for n in postorder:
         if n == root:
@@ -160,10 +122,9 @@ def ls_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
             msg = marginalize(t, tree.separator(n, c), counter)
             tables[c] = _absorb(tables[c], msg, tree.cards, counter)
 
-    holders = tree.holders()
     marginals = {}
     for x in targets:
-        source = tables[_designated(tree, holders, x)]
+        source = tables[_designated(tree, x)]
         marginals[x] = normalize(marginalize(source, (x,), counter))
     return EngineResult("ls", tree.kind, marginals, tables, counter, {})
 
@@ -186,8 +147,7 @@ def hugin_run(tree: JoinTree, potentials, targets=None, counter=None, on_step=No
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
     tables = _init_tables(tree, potentials, counter)
-    root = tree.root()
-    preorder, postorder, parent, children = _orient(tree, root)
+    root, preorder, postorder, parent, children = tree.rooting
     store = {}
 
     for n in postorder:
@@ -225,14 +185,13 @@ def hugin_run(tree: JoinTree, potentials, targets=None, counter=None, on_step=No
             if on_step is not None:
                 on_step("outward", n, c, tables, store)
 
-    holders = tree.holders()
     marginals = {}
     for x in targets:
-        best = _best_separator(tree, holders, x)
+        best = tree.best_separators.get(x)
         if best is not None and store.get(best[1]) is not None:
             source = store[best[1]]
         else:
-            source = tables[_designated(tree, holders, x)]
+            source = tables[_designated(tree, x)]
         marginals[x] = normalize(marginalize(source, (x,), counter))
     return EngineResult("hugin", tree.kind, marginals, tables, counter, store)
 
@@ -297,7 +256,7 @@ def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
                 prod = factors[0]
                 for f in factors[1:]:
                     prod = multiply(prod, f, counter)
-                sep = set(tree.separator(a, b))
+                sep = tree.separator(a, b)
                 keep = [w for w in prod.domain if w in sep]
                 messages[(a, b)] = marginalize(prod, keep, counter)
             stack.pop()
@@ -320,14 +279,13 @@ def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
                 node_marginals[n] = prod
         return node_marginals[n]
 
-    holders = tree.holders()
     sep_products = {}
     marginals = {}
     for x in targets:
-        designated = _designated(tree, holders, x)
+        designated = _designated(tree, x)
         node_marg = rule2(designated)
         source = None
-        best = _best_separator(tree, holders, x)
+        best = tree.best_separators.get(x)
         if best is not None and best[0] < tree.statespace(designated):
             u, v = best[1]
             if (u, v) not in sep_products:

@@ -92,12 +92,16 @@ def network_from_dict(doc: dict):
             raise NetworkError("duplicate variable name %r" % name)
         index[name] = i
         variables.append(Variable(i, name, card))
-    arcs = []
+    arcs = {}  # (parent id, child id) -> None; keeps declaration order
     for pair in arcs_by_name:
         p, c = pair
         if p not in index or c not in index:
             raise NetworkError("arc %r references unknown variable" % (pair,))
-        arcs.append((index[p], index[c]))
+        if p == c:
+            raise NetworkError("self-arc on variable %r" % p)
+        if (index[p], index[c]) in arcs:
+            raise NetworkError("duplicate arc %r -> %r" % (p, c))
+        arcs[index[p], index[c]] = None
     parents = {i: [] for i in index.values()}
     for p, c in arcs:
         parents[c].append(p)
@@ -106,13 +110,22 @@ def network_from_dict(doc: dict):
         if v.name not in cpts_raw:
             raise NetworkError("no CPT for variable %r" % v.name)
         domain = [variables[j] for j in parents[v.id]] + [v]
-        cpts[v.id] = make_potential(domain, cpts_raw[v.name])
+        try:
+            cpts[v.id] = make_potential(domain, cpts_raw[v.name])
+        except (ValueError, TypeError) as exc:
+            raise NetworkError(
+                "CPT of variable %r (parents %r): %s"
+                % (v.name, [u.name for u in domain[:-1]], exc)
+            ) from None
     net = BayesNet(variables, arcs, cpts)
     evidence = {}
     for name, vec in (doc.get("evidence") or {}).items():
         if name not in index:
             raise NetworkError("evidence on unknown variable %r" % name)
-        evidence[index[name]] = np.asarray(vec, dtype=np.float64)
+        try:
+            evidence[index[name]] = np.asarray(vec, dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise NetworkError("evidence on variable %r: %s" % (name, exc)) from None
     return net, evidence
 
 

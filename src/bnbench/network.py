@@ -146,20 +146,26 @@ def validate(net: BayesNet) -> list:
 
 
 def check_evidence(net: BayesNet, evidence: dict) -> list:
+    """Return a list of problems with the evidence, each naming its variable."""
     problems = []
     cards = net.cards
     for vid, vec in evidence.items():
         if vid not in cards:
             problems.append("evidence on unknown variable %r" % (vid,))
             continue
+        name = net.var(vid).name
         arr = np.asarray(vec, dtype=np.float64)
         if arr.shape != (cards[vid],):
             problems.append(
-                "evidence vector on %d has length %d, expected %d"
-                % (vid, arr.size, cards[vid])
+                "evidence vector on %r has length %d, expected %d"
+                % (name, arr.size, cards[vid])
             )
+        elif not np.all(np.isfinite(arr)):
+            problems.append("evidence vector on %r has a non-finite entry: %r" % (name, arr.tolist()))
         elif np.any(arr < 0) or not np.any(arr > 0):
-            problems.append("evidence vector on %d must be non-negative with a positive entry" % vid)
+            problems.append(
+                "evidence vector on %r must be non-negative with a positive entry" % name
+            )
     return problems
 
 

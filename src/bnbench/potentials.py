@@ -102,25 +102,22 @@ def embed(pot: Potential, domain: Sequence[int], cards: dict) -> Potential:
     dom = tuple(domain)
     if not set(pot.domain) <= set(dom):
         raise PotentialError("cannot embed %r into %r" % (pot.domain, dom))
-    shape = tuple(cards[v] for v in dom)
-    arr = np.broadcast_to(_expand(pot, dom), shape)
-    return Potential(dom, arr.copy())
+    out = np.empty(tuple(cards[v] for v in dom))
+    np.copyto(out, _expand(pot, dom))
+    return Potential(dom, out)
 
 
 def _expand(pot: Potential, out_domain: tuple) -> np.ndarray:
     """View of ``pot.values`` transposed/reshaped to broadcast over ``out_domain``."""
-    perm = sorted(range(len(pot.domain)), key=lambda i: out_domain.index(pot.domain[i]))
-    arr = pot.values.transpose(perm)
-    shape = []
-    k = 0
-    ordered = [pot.domain[i] for i in perm]
-    for var in out_domain:
-        if k < len(ordered) and ordered[k] == var:
-            shape.append(arr.shape[k])
-            k += 1
-        else:
-            shape.append(1)
-    return arr.reshape(shape)
+    dom, arr = pot.domain, pot.values
+    k = len(dom)
+    if out_domain[:k] == dom:
+        return arr.reshape(arr.shape + (1,) * (len(out_domain) - k))
+    pos = [out_domain.index(v) for v in dom]
+    shape = [1] * len(out_domain)
+    for i, p in enumerate(pos):
+        shape[p] = arr.shape[i]
+    return arr.transpose(sorted(range(k), key=pos.__getitem__)).reshape(shape)
 
 
 def union_domain(a: Potential, b: Potential) -> tuple:
@@ -138,14 +135,19 @@ def multiply(a: Potential, b: Potential, counter: OpCounter) -> Potential:
 def marginalize(a: Potential, keep: Iterable[int], counter: OpCounter) -> Potential:
     """Sum out all variables not in ``keep``; result keeps a's relative order."""
     keep = set(keep)
-    if not keep <= set(a.domain):
+    dom, axes = [], []
+    for i, v in enumerate(a.domain):
+        if v in keep:
+            dom.append(v)
+        else:
+            axes.append(i)
+    if len(dom) != len(keep):
         raise PotentialError("marginalization target %r not within %r" % (keep, a.domain))
-    axes = tuple(i for i, v in enumerate(a.domain) if v not in keep)
     if not axes:
         return Potential(a.domain, a.values)
-    out = a.values.sum(axis=axes)
+    out = a.values.sum(axis=tuple(axes))
     counter.adds += a.size - out.size
-    return Potential(tuple(v for v in a.domain if v in keep), out)
+    return Potential(dom, out)
 
 
 def divide(num: Potential, den: Potential, counter: OpCounter) -> Potential:
@@ -154,12 +156,17 @@ def divide(num: Potential, den: Potential, counter: OpCounter) -> Potential:
         return Potential(num.domain, num.values)
     if not set(den.domain) <= set(num.domain):
         raise PotentialError("denominator domain %r exceeds numerator %r" % (den.domain, num.domain))
-    den_b = np.broadcast_to(_expand(den, num.domain), num.values.shape)
-    zero = den_b == 0.0
-    if np.any(num.values[zero] != 0.0):
-        raise InconsistencyError("positive value divided by zero")
-    out = np.zeros_like(num.values)
-    np.divide(num.values, den_b, out=out, where=~zero)
+    den_v = _expand(den, num.domain)
+    if den.values.all():
+        out = np.empty_like(num.values)
+        np.divide(num.values, den_v, out=out)
+    else:
+        den_b = np.broadcast_to(den_v, num.values.shape)
+        zero = den_b == 0.0
+        if np.any(num.values[zero] != 0.0):
+            raise InconsistencyError("positive value divided by zero")
+        out = np.zeros_like(num.values)
+        np.divide(num.values, den_b, out=out, where=~zero)
     counter.divs += num.size
     return Potential(num.domain, out)
 

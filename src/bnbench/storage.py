@@ -45,7 +45,7 @@ def storage_report(arch: str, tree: JoinTree, net: BayesNet, evidence: dict, tar
     output_fpn = sum(cards[x] for x in targets)
 
     if arch in ("ls", "hugin"):
-        clique_fpn = sum(tree.statespace(n) for n in tree.nodes)
+        clique_fpn = sum(tree.spaces.values())
         separator_fpn = 0
         if arch == "hugin":
             separator_fpn = sum(tree.sep_statespace(u, v) for u, v in tree.edges())
@@ -65,4 +65,4 @@ def storage_report(arch: str, tree: JoinTree, net: BayesNet, evidence: dict, tar
 
 def peak_working_memory(arch: str, tree: JoinTree) -> int:
     """Largest node state space; reported separately from StorageReport."""
-    return max(tree.statespace(n) for n in tree.nodes)
+    return max(tree.spaces.values())

@@ -2,20 +2,27 @@
 
 The potential constructors and configuration walkers build and inspect
 tables cell by cell, independently of the vectorized algebra under test.
-The ``reference_*`` functions are the straightforward scans over every node
-or edge that the holder-indexed choices in ``bnbench`` must reproduce, and
-the restart-from-scratch compile loops that the worklist versions in
-``bnbench.compile`` must match choice for choice.
+The ``reference_*`` functions are:
+
+* the earlier, plainer forms of the potential kernels, which the trimmed
+  kernels in ``bnbench.potentials`` must match bit for bit;
+* the straightforward scans over every node or edge (separators, state
+  spaces, root, rooted orders, designated nodes, best separators, hosts)
+  that each tree's cached index in ``bnbench.compile.JoinTree`` must
+  reproduce;
+* the restart-from-scratch compile loops that the worklist versions in
+  ``bnbench.compile`` must match choice for choice.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from bnbench.compile import JoinTree, _statespace
-from bnbench.potentials import Potential, Variable
+from bnbench.potentials import InconsistencyError, Potential, PotentialError, Variable
 
 
 def from_values(domain_ids: Sequence[int], cards: Sequence[int], values) -> Potential:
@@ -56,6 +63,61 @@ def value_at(pot: Potential, config: dict) -> float:
     return float(pot.values[idx])
 
 
+def reference_expand(pot: Potential, out_domain: tuple) -> np.ndarray:
+    """``_expand`` by a sort keyed on ``out_domain.index`` and a walk of ``out_domain``."""
+    perm = sorted(range(len(pot.domain)), key=lambda i: out_domain.index(pot.domain[i]))
+    arr = pot.values.transpose(perm)
+    shape = []
+    k = 0
+    ordered = [pot.domain[i] for i in perm]
+    for var in out_domain:
+        if k < len(ordered) and ordered[k] == var:
+            shape.append(arr.shape[k])
+            k += 1
+        else:
+            shape.append(1)
+    return arr.reshape(shape)
+
+
+def reference_embed(pot: Potential, domain: Sequence[int], cards: dict) -> Potential:
+    """``embed`` as a copy of a broadcast view."""
+    dom = tuple(domain)
+    if not set(pot.domain) <= set(dom):
+        raise PotentialError("cannot embed %r into %r" % (pot.domain, dom))
+    shape = tuple(cards[v] for v in dom)
+    arr = np.broadcast_to(reference_expand(pot, dom), shape)
+    return Potential(dom, arr.copy())
+
+
+def reference_marginalize(a: Potential, keep, counter) -> Potential:
+    """``marginalize`` with separate passes for the check, the axes and the domain."""
+    keep = set(keep)
+    if not keep <= set(a.domain):
+        raise PotentialError("marginalization target %r not within %r" % (keep, a.domain))
+    axes = tuple(i for i, v in enumerate(a.domain) if v not in keep)
+    if not axes:
+        return Potential(a.domain, a.values)
+    out = a.values.sum(axis=axes)
+    counter.adds += a.size - out.size
+    return Potential(tuple(v for v in a.domain if v in keep), out)
+
+
+def reference_divide(num: Potential, den: Potential, counter) -> Potential:
+    """``divide`` that always masks the zero cells of the denominator."""
+    if den.is_identity:
+        return Potential(num.domain, num.values)
+    if not set(den.domain) <= set(num.domain):
+        raise PotentialError("denominator domain %r exceeds numerator %r" % (den.domain, num.domain))
+    den_b = np.broadcast_to(reference_expand(den, num.domain), num.values.shape)
+    zero = den_b == 0.0
+    if np.any(num.values[zero] != 0.0):
+        raise InconsistencyError("positive value divided by zero")
+    out = np.zeros_like(num.values)
+    np.divide(num.values, den_b, out=out, where=~zero)
+    counter.divs += num.size
+    return Potential(num.domain, out)
+
+
 def triangulate(graph: dict, order: list) -> tuple:
     """Fill the graph along ``order``; return (chordal adjacency, cliques).
 
@@ -78,20 +140,63 @@ def triangulate(graph: dict, order: list) -> tuple:
     return adj, cliques
 
 
+def reference_separator(tree: JoinTree, u: int, v: int) -> tuple:
+    """Variables shared by nodes u and v, ascending, intersected afresh."""
+    return tuple(sorted(set(tree.nodes[u]) & set(tree.nodes[v])))
+
+
+def reference_space(tree: JoinTree, domain) -> int:
+    """State space of ``domain`` under the tree's cardinalities."""
+    return math.prod(tree.cards[x] for x in domain)
+
+
+def reference_root(tree: JoinTree) -> int:
+    """Biggest-state-space node; ties broken by lowest id."""
+    return min(sorted(tree.nodes), key=lambda n: (-reference_space(tree, tree.nodes[n]), n))
+
+
+def reference_orient(tree: JoinTree, root: int):
+    """Rooted traversal orders: preorder, postorder, parent and child maps."""
+    parent = {root: None}
+    children = {}
+    preorder = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        preorder.append(n)
+        kids = [q for q in tree.adj[n] if q != parent[n]]
+        children[n] = kids
+        for q in reversed(kids):
+            parent[q] = n
+            stack.append(q)
+    postorder = []
+    stack = [(root, False)]
+    while stack:
+        n, done = stack.pop()
+        if done:
+            postorder.append(n)
+            continue
+        stack.append((n, True))
+        for q in reversed(children[n]):
+            stack.append((q, False))
+    return preorder, postorder, parent, children
+
+
 def reference_designated(tree: JoinTree, x: int):
     """Smallest-state-space node containing x (ties: lowest id), or None."""
     holders = [n for n in sorted(tree.nodes) if x in tree.nodes[n]]
     if not holders:
         return None
-    return min(holders, key=lambda n: (tree.statespace(n), n))
+    return min(holders, key=lambda n: (reference_space(tree, tree.nodes[n]), n))
 
 
 def reference_best_separator(tree: JoinTree, x: int):
     """Smallest separator containing x as (state space, edge), or None."""
     best = None
     for u, v in tree.edges():
-        if x in tree.separator(u, v):
-            cand = (tree.sep_statespace(u, v), (u, v))
+        sep = reference_separator(tree, u, v)
+        if x in sep:
+            cand = (reference_space(tree, sep), (u, v))
             if best is None or cand < best:
                 best = cand
     return best
@@ -101,7 +206,7 @@ def reference_host(tree: JoinTree, domain) -> int:
     """Smallest node whose domain covers ``domain`` (ties: lowest id)."""
     dom = set(domain)
     hosts = [n for n in tree.nodes if dom <= set(tree.nodes[n])]
-    return min(hosts, key=lambda n: (tree.statespace(n), n))
+    return min(hosts, key=lambda n: (reference_space(tree, tree.nodes[n]), n))
 
 
 def reference_elimination_order(graph: dict, cards: dict) -> list:

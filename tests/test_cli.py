@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from bnbench.cli import main
 def chest_file(tmp_path):
     path = tmp_path / "chest.json"
     assert main(["fixture", "--name", "chest", "--out", str(path)]) == 0
+    return str(path)
+
+
+def _edited_chest(chest_file, tmp_path, edit):
+    """Path of a copy of the chest network file after ``edit(doc)``."""
+    with open(chest_file) as fp:
+        doc = json.load(fp)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -118,6 +130,57 @@ class TestVerify:
         assert "--tolerance" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_evidence(self, chest_file, tmp_path, capsys, bad):
+        path = _edited_chest(chest_file, tmp_path, lambda doc: doc["evidence"].update(A=[bad, 1.0]))
+        for command in ("verify", "infer"):
+            assert main([command, "--network", path]) == 2
+            err = capsys.readouterr().err
+            assert "'A'" in err and "non-finite" in err
+
+    def test_fails_on_nan_marginal(self, chest_file, monkeypatch, capsys):
+        ss_run = cli.RUNNERS["ss"]
+
+        def nan_ss(*args):
+            res = ss_run(*args)
+            res.singleton_marginals[3].values[0] = np.nan
+            return res
+
+        monkeypatch.setitem(cli.RUNNERS, "ss", nan_ss)
+        assert main(["verify", "--network", chest_file]) == 1
+        out = capsys.readouterr().out
+        assert "ss (binary tree): max deviation nan EXCEEDS" in out
+        assert "verification FAILED" in out
+
+    @pytest.mark.parametrize("cap", ["-5", "0", "1.5", "big"])
+    def test_rejects_bad_oracle_cap(self, chest_file, capsys, cap):
+        assert main(["verify", "--network", chest_file, "--oracle-cap=" + cap]) == 2
+        assert "--oracle-cap" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: doc["arcs"].append(["T", "T"]), "self-arc on variable 'T'"),
+            (lambda doc: doc["arcs"].append(["A", "T"]), "duplicate arc 'A' -> 'T'"),
+            (
+                lambda doc: doc["arcs"].append(["S", "A"]),
+                "CPT of variable 'A' (parents ['S']): values length 2 does not match domain size 4",
+            ),
+            (
+                lambda doc: doc["evidence"].update(A=["yes", 0.0]),
+                "evidence on variable 'A': could not convert string to float",
+            ),
+        ],
+        ids=["self-arc", "duplicate-arc", "cpt-length", "non-numeric-evidence"],
+    )
+    def test_error_names_the_variable(self, chest_file, tmp_path, capsys, edit, message):
+        path = _edited_chest(chest_file, tmp_path, edit)
+        assert main(["infer", "--network", path]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestBench:
     def test_stdout_rows_are_deterministic(self, capsys):
         argv = ["bench", "--params", "6,5,2,3,2", "--trials", "4", "--seed", "9"]
@@ -193,6 +256,15 @@ class TestBench:
         assert "deviates nan" in captured.err
         assert "oracle check: 30 failures" in captured.out
 
+    @pytest.mark.parametrize("cap", ["-5", "0", "1.5", "big"])
+    def test_rejects_bad_oracle_cap(self, tmp_path, capsys, cap):
+        argv = [
+            "bench", "--params", "5,5,2,2,1", "--trials", "1",
+            "--out", str(tmp_path / "rows.csv"), "--verify-oracle", "--oracle-cap=" + cap,
+        ]
+        assert main(argv) == 2
+        assert "--oracle-cap" in capsys.readouterr().err
+
     def test_bad_params_is_usage_error(self, capsys):
         assert main(["bench", "--params", "6,5,2", "--trials", "1"]) == 2
         assert main(["bench", "--params", "q=6", "--trials", "1"]) == 2
@@ -234,6 +306,11 @@ class TestReport:
         assert main(["report", rows_file, "--format", "csv", "--div-weight", "0"]) == 0
         unweighted = capsys.readouterr().out
         assert base != unweighted
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-1", "heavy"])
+    def test_rejects_bad_div_weight(self, rows_file, capsys, weight):
+        assert main(["report", rows_file, "--div-weight=" + weight]) == 2
+        assert "--div-weight" in capsys.readouterr().err
 
     def test_rejects_foreign_csv(self, tmp_path, capsys):
         alien = tmp_path / "alien.csv"

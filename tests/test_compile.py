@@ -131,8 +131,8 @@ class TestChestJunctionTree:
                 assert i == j or not a <= b
 
     def test_root_is_biggest_statespace_lowest_id(self, chest_comp):
-        assert chest_comp.junction.root() == 1
-        assert chest_comp.binary.root() == 11
+        assert chest_comp.junction.rooting.root == 1
+        assert chest_comp.binary.rooting.root == 11
 
 
 class TestAttachSingletons:

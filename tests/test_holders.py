@@ -1,35 +1,72 @@
 import pytest
 
-from bnbench.compile import JoinTree, compile_structures
-from bnbench.engines import _best_separator, _designated, hugin_run, ss_run
+from bnbench.compile import JoinTree, attach_singletons, compile_structures
+from bnbench.engines import hugin_run, ss_run
 from bnbench.generate import GenParams, random_case
-from helpers import reference_best_separator, reference_designated, reference_host
+from helpers import (
+    reference_best_separator,
+    reference_designated,
+    reference_host,
+    reference_orient,
+    reference_root,
+    reference_separator,
+    reference_space,
+)
 
 # (seed, n, m): sizes from 6 to 40 variables, cardinalities up to 2, 3 and 4.
 CASES = [(seed, n, m) for seed, n in enumerate((6, 9, 13, 18, 24, 31, 40)) for m in (2, 3, 4)]
+
+
+def _assert_index_matches_full_scans(comp):
+    for tree in (comp.junction, comp.binary):
+        nodes = sorted(tree.nodes)
+        assert tree.spaces == {n: reference_space(tree, tree.nodes[n]) for n in nodes}
+        edges = tree.edges()
+        assert len(tree.separators) == len(tree.sep_spaces) == 2 * len(edges)
+        for u, v in edges:
+            sep = reference_separator(tree, u, v)
+            assert tree.separator(u, v) == tree.separator(v, u) == sep
+            assert tree.sep_statespace(u, v) == tree.sep_statespace(v, u) == reference_space(tree, sep)
+        assert tree.holders == {x: [n for n in nodes if x in tree.nodes[n]] for x in tree.cards}
+        root = reference_root(tree)
+        assert tree.rooting == (root, *reference_orient(tree, root))
+        for x in sorted(tree.cards):
+            assert tree.designated[x] == reference_designated(tree, x)
+            assert tree.best_separators.get(x) == reference_best_separator(tree, x)
+        hosts = {i: nid for nid, idxs in tree.assignments.items() for i in idxs}
+        assert hosts == {i: reference_host(tree, pot.domain) for i, pot in enumerate(comp.potentials)}
 
 
 @pytest.mark.parametrize("seed,n,m", CASES)
 def test_indexed_choices_match_full_scans(seed, n, m):
     params = GenParams(n=n, c2=2 + seed % 3, m=m, p=2, seed=seed)
     net, ev = random_case(params, 0)
-    comp = compile_structures(net, ev)
-    for tree in (comp.junction, comp.binary):
-        holders = tree.holders()
-        assert holders == {
-            x: [nid for nid in sorted(tree.nodes) if x in tree.nodes[nid]] for x in tree.cards
-        }
-        for x in sorted(tree.cards):
-            assert _designated(tree, holders, x) == reference_designated(tree, x)
-            assert _best_separator(tree, holders, x) == reference_best_separator(tree, x)
-        hosts = {i: nid for nid, idxs in tree.assignments.items() for i in idxs}
-        assert hosts == {i: reference_host(tree, pot.domain) for i, pot in enumerate(comp.potentials)}
+    _assert_index_matches_full_scans(compile_structures(net, ev))
+
+
+def test_index_matches_full_scans_on_a_long_trial():
+    net, ev = random_case(GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013), 0)
+    _assert_index_matches_full_scans(compile_structures(net, ev))
 
 
 def test_holders_of_chest_junction_tree(chest_comp):
-    assert chest_comp.junction.holders() == {
+    assert chest_comp.junction.holders == {
         0: [0], 1: [4], 2: [0, 1], 3: [1, 4, 5], 4: [3, 4, 5], 5: [1, 2, 3, 5], 6: [2], 7: [3],
     }
+
+
+def test_attach_singletons_leaves_the_input_index_alone():
+    # no variable has a singleton and node 0 is full, so a twin joins the holder lists
+    tree = JoinTree(
+        kind="binary",
+        nodes={0: (0, 1), 1: (0, 1, 2), 2: (0, 1, 3), 3: (0, 1, 4)},
+        adj={0: [1, 2, 3], 1: [0], 2: [0], 3: [0]},
+        cards={i: 2 for i in range(5)},
+    )
+    before = {x: list(nids) for x, nids in tree.holders.items()}
+    out = attach_singletons(tree, range(5))
+    assert tree.holders == before
+    assert out.holders == {x: [n for n in sorted(out.nodes) if x in out.nodes[n]] for x in out.cards}
 
 
 def test_engines_build_separators_a_few_times_per_edge(monkeypatch):

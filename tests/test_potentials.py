@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from bnbench.counting import OpCounter
 from bnbench.potentials import (
     InconsistencyError,
+    Potential,
     PotentialError,
     Variable,
+    _expand,
     divide,
     embed,
     identity_over,
@@ -16,7 +18,17 @@ from bnbench.potentials import (
     multiply,
     normalize,
 )
-from helpers import from_values, identity_potential, identity_scalar, iter_configurations, value_at
+from helpers import (
+    from_values,
+    identity_potential,
+    identity_scalar,
+    iter_configurations,
+    reference_divide,
+    reference_embed,
+    reference_expand,
+    reference_marginalize,
+    value_at,
+)
 
 A = Variable(0, "A", 2)
 B = Variable(1, "B", 2)
@@ -277,6 +289,106 @@ class TestProperties:
                 total += value_at(a, full)
             assert abs(value_at(out, config) - total) <= 1e-9
         assert c.adds == a.values.size - out.values.size
+
+
+@st.composite
+def nested_domains(draw):
+    """Cardinalities, an outer domain, an inner domain within it, and a seed.
+
+    Both domains come in random order; half the time the inner domain is a
+    prefix of the outer one.  Either may be empty.
+    """
+    cards = {v: draw(st.integers(2, 4)) for v in range(5)}
+    perm = draw(st.permutations(range(5)))
+    outer = tuple(perm[: draw(st.integers(0, 5))])
+    if draw(st.booleans()):
+        inner = outer[: draw(st.integers(0, len(outer)))]
+    else:
+        inner = tuple(draw(st.permutations([v for v in outer if draw(st.booleans())])))
+    return cards, outer, inner, draw(st.integers(0, 2**32 - 1))
+
+
+def _table(rng, domain, cards, zeros=0.0):
+    shape = tuple(cards[v] for v in domain)
+    vals = rng.uniform(0.1, 1.0, size=shape)
+    return np.where(rng.uniform(size=shape) < zeros, 0.0, vals)
+
+
+def _layout(values, fortran):
+    """The same values, stored column-major when ``fortran`` is set (and that differs)."""
+    return np.asfortranarray(values) if fortran and values.ndim > 1 else values
+
+
+class TestTrimmedKernelsMatchReferences:
+    """Each kernel gives bit-identical tables, in the same memory layout, as its reference."""
+
+    @given(nested_domains(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_expand_and_embed(self, case, fortran):
+        cards, outer, inner, seed = case
+        pot = Potential(inner, _layout(_table(np.random.default_rng(seed), inner, cards), fortran))
+        got, want = _expand(pot, outer), reference_expand(pot, outer)
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert np.array_equal(got, want)
+        got, want = embed(pot, outer, cards), reference_embed(pot, outer, cards)
+        assert got.domain == want.domain
+        assert np.array_equal(got.values, want.values)
+        assert got.values.flags.c_contiguous and want.values.flags.c_contiguous
+
+    @given(nested_domains(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_marginalize(self, case, fortran):
+        cards, outer, inner, seed = case
+        a = Potential(outer, _layout(_table(np.random.default_rng(seed), outer, cards), fortran))
+        c_got, c_want = OpCounter(), OpCounter()
+        got, want = marginalize(a, inner, c_got), reference_marginalize(a, inner, c_want)
+        assert got.domain == want.domain
+        assert got.values.strides == want.values.strides
+        assert np.array_equal(got.values, want.values)
+        assert c_got.as_tuple() == c_want.as_tuple()
+        for fn in (marginalize, reference_marginalize):
+            with pytest.raises(PotentialError):
+                fn(a, inner + (9,), OpCounter())
+
+    @given(nested_domains(), st.sampled_from([0.0, 0.4]), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_divide(self, case, zeros, consistent, fortran):
+        cards, outer, inner, seed = case
+        rng = np.random.default_rng(seed)
+        den = Potential(inner, _table(rng, inner, cards, zeros))
+        num = _table(rng, outer, cards)
+        if consistent:
+            # 0/0 cells only: zero the numerator wherever the denominator is zero
+            num = np.where(np.broadcast_to(reference_expand(den, outer), num.shape) == 0.0, 0.0, num)
+        num = Potential(outer, _layout(num, fortran))
+        outcomes = []
+        for fn in (divide, reference_divide):
+            counter = OpCounter()
+            try:
+                out = fn(num, den, counter)
+            except InconsistencyError:
+                outcomes.append(None)
+            else:
+                outcomes.append((out.domain, out.values, counter.as_tuple()))
+        got, want = outcomes
+        if want is None:
+            assert got is None
+            return
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].strides == want[1].strides
+        assert np.array_equal(got[1], want[1])
+
+    def test_divide_zero_denominators(self):
+        num = from_values([0, 1], [2, 2], [0.0, 0.4, 0.0, 0.9])
+        den = from_values([0], [2], [0.0, 0.5])
+        with pytest.raises(InconsistencyError):
+            divide(from_values([0, 1], [2, 2], [0.3, 0.4, 0.0, 0.9]), den, OpCounter())
+        counter = OpCounter()
+        out = divide(num, from_values([1], [2], [0.0, 0.5]), counter)
+        assert np.array_equal(out.values.reshape(-1), [0.0, 0.8, 0.0, 1.8])
+        assert counter.divs == 4
+        with pytest.raises(InconsistencyError):
+            divide(num, den, OpCounter())
 
 
 class TestVariable:
