@@ -196,16 +196,30 @@ def hugin_run(tree: JoinTree, potentials, targets=None, counter=None, on_step=No
     return EngineResult("hugin", tree.kind, marginals, tables, counter, store)
 
 
-def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResult:
-    """Shenoy-Shafer demand-driven propagation.  Never divides.
+def _fold(factors, counter: OpCounter):
+    """Product of the non-None factors in list order; None when there are none."""
+    prod = None
+    for f in factors:
+        if f is not None:
+            prod = f if prod is None else multiply(prod, f, counter)
+    return prod
 
-    Each requested target demands the messages into its designated node
-    (the smallest node containing it); message computation recurses and is
-    memoized, so unrequested messages are never produced.  A message from r
-    toward s folds the stored messages from r's other neighbors (ascending
-    neighbor id) and finally r's combined own potential, then marginalizes
-    onto the separator.  Node marginals fold all incoming messages plus the
-    own potential.  Input potentials are never touched.
+
+def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResult:
+    """Shenoy-Shafer propagation: two passes over the rooting.  Never divides.
+
+    Only demanded messages are sent.  The sinks are each target's
+    designated node (the smallest node containing it) and both ends of each
+    separator used for extraction; a message toward b is demanded iff a sink
+    lies on b's side of the edge.  With ``below[n]`` the number of sinks in
+    n's rooted subtree, the inward pass (postorder) sends n -> parent iff
+    some sink lies outside n's subtree, and the outward pass (preorder) sends
+    n -> c iff ``below[c] > 0``; so every message a sender folds already
+    exists.  A message from a toward b folds the messages from a's other
+    neighbors (ascending neighbor id) and finally a's combined own potential,
+    then marginalizes onto the separator; with nothing to fold it is vacuous
+    (None).  Node marginals fold all incoming messages plus the own
+    potential.  Input potentials are never touched.
 
     Singleton extraction: when some separator containing the variable is
     strictly smaller than the designated node, the product of that
@@ -216,91 +230,53 @@ def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
     counter = counter if counter is not None else OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
-    own_cache = {}
+    root, preorder, postorder, parent, children = tree.rooting
+    designated = {x: _designated(tree, x) for x in targets}
+    extract = {}
+    for x in targets:
+        best = tree.best_separators.get(x)
+        if best is not None and best[0] < tree.statespace(designated[x]):
+            extract[x] = best[1]
+    sinks = set(designated.values()).union(*extract.values())
+    below = dict.fromkeys(postorder, 0)
+    for n in sinks:
+        below[n] = 1
+    for n in postorder:
+        if n != root:
+            below[parent[n]] += below[n]
+
+    # With any sink, every node is one or sends toward one, so needs its own potential.
+    own = {}
+    if below[root]:
+        for n in sorted(tree.nodes):
+            own[n] = _fold([potentials[i] for i in tree.assignments.get(n, ())], counter)
+    sends = [(n, parent[n]) for n in postorder if n != root and below[n] < below[root]]
+    sends += [(n, c) for n in preorder for c in children[n] if below[c]]
     messages = {}
-
-    def own(n):
-        if n not in own_cache:
-            idxs = tree.assignments.get(n, ())
-            if not idxs:
-                own_cache[n] = None
-            else:
-                prod = potentials[idxs[0]]
-                for i in idxs[1:]:
-                    prod = multiply(prod, potentials[i], counter)
-                own_cache[n] = prod
-        return own_cache[n]
-
-    def message(r, s):
-        stack = [(r, s)]
-        while stack:
-            a, b = stack[-1]
-            if (a, b) in messages:
-                stack.pop()
-                continue
-            pending = [(q, a) for q in tree.adj[a] if q != b and (q, a) not in messages]
-            if pending:
-                stack.extend(pending)
-                continue
-            factors = [
-                messages[(q, a)]
-                for q in tree.adj[a]
-                if q != b and messages[(q, a)] is not None
-            ]
-            o = own(a)
-            if o is not None:
-                factors.append(o)
-            if not factors:
-                messages[(a, b)] = None
-            else:
-                prod = factors[0]
-                for f in factors[1:]:
-                    prod = multiply(prod, f, counter)
-                sep = tree.separator(a, b)
-                keep = [w for w in prod.domain if w in sep]
-                messages[(a, b)] = marginalize(prod, keep, counter)
-            stack.pop()
-        return messages[(r, s)]
+    for a, b in sends:
+        prod = _fold([messages[q, a] for q in tree.adj[a] if q != b] + [own[a]], counter)
+        if prod is not None:
+            sep = tree.separator(a, b)
+            prod = marginalize(prod, [w for w in prod.domain if w in sep], counter)
+        messages[a, b] = prod
 
     node_marginals = {}
-
-    def rule2(n):
-        if n not in node_marginals:
-            factors = [m for m in (message(q, n) for q in tree.adj[n]) if m is not None]
-            o = own(n)
-            if o is not None:
-                factors.append(o)
-            if not factors:
-                node_marginals[n] = identity_over(tree.nodes[n], tree.cards)
-            else:
-                prod = factors[0]
-                for f in factors[1:]:
-                    prod = multiply(prod, f, counter)
-                node_marginals[n] = prod
-        return node_marginals[n]
-
     sep_products = {}
     marginals = {}
     for x in targets:
-        designated = _designated(tree, x)
-        node_marg = rule2(designated)
-        source = None
-        best = tree.best_separators.get(x)
-        if best is not None and best[0] < tree.statespace(designated):
-            u, v = best[1]
-            if (u, v) not in sep_products:
-                parts = [m for m in (message(u, v), message(v, u)) if m is not None]
-                if not parts:
-                    sep_products[(u, v)] = None
-                elif len(parts) == 1:
-                    sep_products[(u, v)] = parts[0]
-                else:
-                    sep_products[(u, v)] = multiply(parts[0], parts[1], counter)
-            prod = sep_products[(u, v)]
+        d = designated[x]
+        if d not in node_marginals:
+            prod = _fold([messages[q, d] for q in tree.adj[d]] + [own[d]], counter)
+            node_marginals[d] = identity_over(tree.nodes[d], tree.cards) if prod is None else prod
+        source = node_marginals[d]
+        edge = extract.get(x)
+        if edge is not None:
+            if edge not in sep_products:
+                u, v = edge
+                sep_products[edge] = _fold([messages[u, v], messages[v, u]], counter)
+            prod = sep_products[edge]
             if prod is not None and x in prod.domain:
                 source = prod
-        if source is None:
-            source = node_marg
         if x in source.domain:
             marginals[x] = normalize(marginalize(source, (x,), counter))
         else:

@@ -74,20 +74,23 @@ def validate(net: BayesNet) -> list:
         problems.append("variable ids are not dense from 0: %r" % (ids,))
         return problems
     idset = set(ids)
+    names = {v.id: v.name for v in net.variables}
     for parent, child in net.arcs:
         if parent not in idset or child not in idset:
             problems.append("arc (%r, %r) references unknown variable" % (parent, child))
         elif parent == child:
-            problems.append("self-arc on variable %d" % parent)
+            problems.append("self-arc on variable %r" % names[parent])
     if problems:
         return problems
 
     # Acyclicity via Kahn's sort.
     indeg = {v: 0 for v in ids}
     children = {v: [] for v in ids}
+    parents = {v: [] for v in ids}
     for parent, child in net.arcs:
         indeg[child] += 1
         children[parent].append(child)
+        parents[child].append(parent)
     queue = [v for v in ids if indeg[v] == 0]
     seen = 0
     while queue:
@@ -98,7 +101,20 @@ def validate(net: BayesNet) -> list:
             if indeg[c] == 0:
                 queue.append(c)
     if seen != len(ids):
-        problems.append("acyclicity violation: arc set contains a directed cycle")
+        # Each variable the sort left keeps a parent it left too, so walking
+        # back through such parents must close a cycle.
+        left = {v for v in ids if indeg[v] > 0}
+        walk, at = [], {}
+        v = min(left)
+        while v not in at:
+            at[v] = len(walk)
+            walk.append(v)
+            v = min(q for q in parents[v] if q in left)
+        cycle = [v] + walk[at[v] + 1:][::-1] + [v]
+        problems.append(
+            "acyclicity violation: directed cycle %s"
+            % " -> ".join(repr(names[u]) for u in cycle)
+        )
 
     if len(ids) > 1:
         # Weak connectivity.
@@ -122,12 +138,16 @@ def validate(net: BayesNet) -> list:
     for v in ids:
         cpt = net.cpts.get(v)
         if cpt is None:
-            problems.append("variable %d has no CPT" % v)
+            problems.append("variable %r has no CPT" % names[v])
             continue
         if tuple(cpt.domain) != net.family(v):
             problems.append(
-                "CPT domain %r of variable %d is not parents+child %r"
-                % (cpt.domain, v, net.family(v))
+                "CPT of variable %r has domain %r, not its parents then itself %r"
+                % (
+                    names[v],
+                    [names.get(u, u) for u in cpt.domain],
+                    [names.get(u, u) for u in net.family(v)],
+                )
             )
             continue
         scratch = OpCounter()
@@ -137,11 +157,14 @@ def validate(net: BayesNet) -> list:
                 int(np.argmax(np.abs(rows.values - 1.0))), rows.values.shape
             )
             problems.append(
-                "CPT of variable %d: row at parent configuration %r sums to %.12g"
-                % (v, tuple(int(i) for i in bad), float(rows.values[bad]))
+                "CPT of variable %r: row at parent configuration %r sums to %.12g"
+                % (names[v], tuple(int(i) for i in bad), float(rows.values[bad]))
             )
         if cards[v] != cpt.card(v):
-            problems.append("CPT of variable %d disagrees on cardinality" % v)
+            problems.append(
+                "CPT of variable %r has %d states, the variable has %d"
+                % (names[v], cpt.card(v), cards[v])
+            )
     return problems
 
 

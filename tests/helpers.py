@@ -11,7 +11,9 @@ The ``reference_*`` functions are:
   that each tree's cached index in ``bnbench.compile.JoinTree`` must
   reproduce;
 * the restart-from-scratch compile loops that the worklist versions in
-  ``bnbench.compile`` must match choice for choice.
+  ``bnbench.compile`` must match choice for choice;
+* the memoized demand-driven Shenoy-Shafer run that the two-pass
+  ``bnbench.engines.ss_run`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,18 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from bnbench.compile import JoinTree, _statespace
-from bnbench.potentials import InconsistencyError, Potential, PotentialError, Variable
+from bnbench.counting import OpCounter
+from bnbench.engines import EngineResult, _check_assignments, _designated, _targets
+from bnbench.potentials import (
+    InconsistencyError,
+    Potential,
+    PotentialError,
+    Variable,
+    identity_over,
+    marginalize,
+    multiply,
+    normalize,
+)
 
 
 def from_values(domain_ids: Sequence[int], cards: Sequence[int], values) -> Potential:
@@ -349,3 +362,118 @@ def reference_junction_tree(bjt: JoinTree) -> JoinTree:
     out_nodes = {relabel[n]: nodes[n] for n in nodes}
     out_adj = {relabel[n]: sorted(relabel[q] for q in adj[n]) for n in nodes}
     return JoinTree("junction", out_nodes, out_adj, dict(bjt.cards))
+
+
+def reference_ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResult:
+    """Shenoy-Shafer demand-driven propagation with memoized recursion.  Never divides.
+
+    The earlier form of ``bnbench.engines.ss_run``: the two-pass run must
+    match its counters, message keys and values, and marginals bit for bit.
+
+    Each requested target demands the messages into its designated node
+    (the smallest node containing it); message computation recurses and is
+    memoized, so unrequested messages are never produced.  A message from r
+    toward s folds the stored messages from r's other neighbors (ascending
+    neighbor id) and finally r's combined own potential, then marginalizes
+    onto the separator.  Node marginals fold all incoming messages plus the
+    own potential.  Input potentials are never touched.
+
+    Singleton extraction: when some separator containing the variable is
+    strictly smaller than the designated node, the product of that
+    separator's two directed messages is marginalized instead; on a binary
+    join tree with singleton nodes this never fires and the singleton's own
+    node marginal is already the answer.
+    """
+    counter = counter if counter is not None else OpCounter()
+    _check_assignments(tree, potentials)
+    targets = _targets(tree, targets)
+    own_cache = {}
+    messages = {}
+
+    def own(n):
+        if n not in own_cache:
+            idxs = tree.assignments.get(n, ())
+            if not idxs:
+                own_cache[n] = None
+            else:
+                prod = potentials[idxs[0]]
+                for i in idxs[1:]:
+                    prod = multiply(prod, potentials[i], counter)
+                own_cache[n] = prod
+        return own_cache[n]
+
+    def message(r, s):
+        stack = [(r, s)]
+        while stack:
+            a, b = stack[-1]
+            if (a, b) in messages:
+                stack.pop()
+                continue
+            pending = [(q, a) for q in tree.adj[a] if q != b and (q, a) not in messages]
+            if pending:
+                stack.extend(pending)
+                continue
+            factors = [
+                messages[(q, a)]
+                for q in tree.adj[a]
+                if q != b and messages[(q, a)] is not None
+            ]
+            o = own(a)
+            if o is not None:
+                factors.append(o)
+            if not factors:
+                messages[(a, b)] = None
+            else:
+                prod = factors[0]
+                for f in factors[1:]:
+                    prod = multiply(prod, f, counter)
+                sep = tree.separator(a, b)
+                keep = [w for w in prod.domain if w in sep]
+                messages[(a, b)] = marginalize(prod, keep, counter)
+            stack.pop()
+        return messages[(r, s)]
+
+    node_marginals = {}
+
+    def rule2(n):
+        if n not in node_marginals:
+            factors = [m for m in (message(q, n) for q in tree.adj[n]) if m is not None]
+            o = own(n)
+            if o is not None:
+                factors.append(o)
+            if not factors:
+                node_marginals[n] = identity_over(tree.nodes[n], tree.cards)
+            else:
+                prod = factors[0]
+                for f in factors[1:]:
+                    prod = multiply(prod, f, counter)
+                node_marginals[n] = prod
+        return node_marginals[n]
+
+    sep_products = {}
+    marginals = {}
+    for x in targets:
+        designated = _designated(tree, x)
+        node_marg = rule2(designated)
+        source = None
+        best = tree.best_separators.get(x)
+        if best is not None and best[0] < tree.statespace(designated):
+            u, v = best[1]
+            if (u, v) not in sep_products:
+                parts = [m for m in (message(u, v), message(v, u)) if m is not None]
+                if not parts:
+                    sep_products[(u, v)] = None
+                elif len(parts) == 1:
+                    sep_products[(u, v)] = parts[0]
+                else:
+                    sep_products[(u, v)] = multiply(parts[0], parts[1], counter)
+            prod = sep_products[(u, v)]
+            if prod is not None and x in prod.domain:
+                source = prod
+        if source is None:
+            source = node_marg
+        if x in source.domain:
+            marginals[x] = normalize(marginalize(source, (x,), counter))
+        else:
+            marginals[x] = normalize(identity_over((x,), tree.cards))
+    return EngineResult("ss", tree.kind, marginals, node_marginals, counter, messages)

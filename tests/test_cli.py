@@ -82,6 +82,13 @@ class TestInfer:
     def test_unknown_target_is_usage_error(self, chest_file, capsys):
         assert main(["infer", "--network", chest_file, "--targets", "nosuch"]) == 2
 
+    def test_repeated_target_is_usage_error(self, chest_file, capsys):
+        argv = ["infer", "--network", chest_file, "--targets", "A,T, A", "--storage"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "target variable 'A' listed twice" in err
+        assert out == ""
+
     def test_csv_format(self, chest_file, capsys):
         assert main(["infer", "--network", chest_file, "--arch", "hugin", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -111,8 +118,17 @@ class TestVerify:
         assert "verification passed" in out
         assert out.count("within tolerance") == 3
 
-    def test_corrupted_engine_detected(self, chest_file, capsys):
-        assert main(["verify", "--network", chest_file, "--corrupt", "ss"]) == 1
+    def test_corrupted_engine_detected(self, chest_file, monkeypatch, capsys):
+        ss_run = cli.RUNNERS["ss"]
+
+        def corrupt_ss(*args):
+            res = ss_run(*args)
+            for pot in res.singleton_marginals.values():
+                pot.values += 1e-3
+            return res
+
+        monkeypatch.setitem(cli.RUNNERS, "ss", corrupt_ss)
+        assert main(["verify", "--network", chest_file]) == 1
         out = capsys.readouterr().out
         assert "EXCEEDS" in out
         assert "verification FAILED" in out
@@ -172,8 +188,18 @@ class TestInputErrors:
                 lambda doc: doc["evidence"].update(A=["yes", 0.0]),
                 "evidence on variable 'A': could not convert string to float",
             ),
+            (
+                lambda doc: doc["cpts"].update(T=[0.5, 0.6, 0.01, 0.99]),
+                "CPT of variable 'T': row at parent configuration (0,) sums to 1.1",
+            ),
+            (
+                lambda doc: (doc["arcs"].append(["D", "A"]), doc["cpts"].update(A=[0.5] * 4)),
+                "acyclicity violation: directed cycle 'A' -> 'T' -> 'E' -> 'D' -> 'A'",
+            ),
         ],
-        ids=["self-arc", "duplicate-arc", "cpt-length", "non-numeric-evidence"],
+        ids=[
+            "self-arc", "duplicate-arc", "cpt-length", "non-numeric-evidence", "row-sum", "cycle",
+        ],
     )
     def test_error_names_the_variable(self, chest_file, tmp_path, capsys, edit, message):
         path = _edited_chest(chest_file, tmp_path, edit)
@@ -268,6 +294,13 @@ class TestBench:
     def test_bad_params_is_usage_error(self, capsys):
         assert main(["bench", "--params", "6,5,2", "--trials", "1"]) == 2
         assert main(["bench", "--params", "q=6", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec,key", [("n=8,c2=x", "c2"), ("n=8, m = 2.5", "m"), ("8,5,2,x,1", "m")]
+    )
+    def test_non_integer_param_is_named(self, capsys, spec, key):
+        assert main(["bench", "--params", spec, "--trials", "1"]) == 2
+        assert "generator parameter %r is not an integer" % key in capsys.readouterr().err
 
     def test_zero_trials_is_usage_error(self, capsys):
         assert main(["bench", "--params", "6,5,2,3,2", "--trials", "0"]) == 2

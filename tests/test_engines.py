@@ -9,6 +9,10 @@ from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
 from bnbench.generate import GenParams, random_case
 from bnbench.network import input_potentials, joint_oracle, oracle_marginals
 from bnbench.potentials import marginalize, multiply
+from helpers import reference_ss_run
+
+# n=200 binary networks, past the brute-force oracle's reach.
+LONG = GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013)
 
 
 def _checksum(pots):
@@ -124,6 +128,79 @@ class TestDemandDrivenMessages:
         hugin_run(chest_comp.junction, chest_comp.potentials)
         ls_run(chest_comp.junction, chest_comp.potentials)
         assert _checksum(chest_comp.potentials) == before
+
+
+def _assert_same_tables(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key, pot in want.items():
+        if pot is None:
+            assert got[key] is None
+        else:
+            assert got[key].domain == pot.domain
+            assert np.array_equal(got[key].values, pot.values)
+
+
+def _assert_ss_matches_reference(tree, potentials, targets):
+    got = ss_run(tree, potentials, targets)
+    want = reference_ss_run(tree, potentials, targets)
+    assert got.counter.as_tuple() == want.counter.as_tuple()
+    assert got.tree_kind == want.tree_kind
+    _assert_same_tables(got.messages, want.messages)
+    _assert_same_tables(got.node_marginals, want.node_marginals)
+    _assert_same_tables(got.singleton_marginals, want.singleton_marginals)
+
+
+class TestTwoPassMatchesMemoizedRun:
+    """The two-pass SS run sends exactly the messages the demand-driven memo did."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 30),
+        st.integers(2, 4),
+        st.integers(2, 4),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_networks(self, seed, n, c2, m, data):
+        net, ev = random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0)
+        comp = compile_structures(net, ev)
+        ids = st.integers(0, n - 1)
+        # every variable, none, one, or a random subset
+        targets = data.draw(
+            st.one_of(
+                st.none(),
+                st.just([]),
+                st.lists(ids, min_size=1, max_size=1),
+                st.lists(ids, unique=True),
+            )
+        )
+        for tree in (comp.binary, comp.junction):
+            _assert_ss_matches_reference(tree, comp.potentials, targets)
+
+    def test_chest_target_sets(self, chest_comp):
+        for targets in (None, [], [6], [0, 3, 7]):
+            for tree in (chest_comp.binary, chest_comp.junction):
+                _assert_ss_matches_reference(tree, chest_comp.potentials, targets)
+
+    def test_long_trial(self):
+        comp = compile_structures(*random_case(LONG, 0))
+        for tree in (comp.binary, comp.junction):
+            _assert_ss_matches_reference(tree, comp.potentials, None)
+
+
+class TestCrossArchitectureAgreement:
+    """LS, Hugin and SS agree where the brute-force oracle cannot run."""
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_long_trials_agree(self, trial):
+        runs = run_all(*random_case(LONG, trial))
+        ss = runs["ss"].singleton_marginals
+        assert sorted(ss) == list(range(LONG.n))
+        for arch in ("ls", "hugin"):
+            other = runs[arch].singleton_marginals
+            assert sorted(other) == sorted(ss)
+            worst = max(float(np.abs(other[x].values - ss[x].values).max()) for x in ss)
+            assert worst <= 1e-9, arch
 
 
 class TestPropagationHook:

@@ -40,6 +40,7 @@ class TestValidate:
         net = tiny_chain()
         net.cpts[0] = make_potential([net.var(0)], [0.5, 0.6])
         assert any("sum" in p for p in validate(net))
+        assert "CPT of variable 'a': row at parent configuration () sums to 1.1" in validate(net)
 
     def test_cycle_reported(self):
         a = Variable(0, "a", 2)
@@ -50,11 +51,38 @@ class TestValidate:
         }
         net = BayesNet([a, b], [(0, 1), (1, 0)], cpts)
         assert any("cycl" in p or "acyclic" in p for p in validate(net))
+        assert "acyclicity violation: directed cycle 'a' -> 'b' -> 'a'" in validate(net)
+
+    def test_cycle_lists_its_variables_only(self):
+        # r -> a -> b -> c -> a, with d hanging below the cycle
+        r, a, b, c, d = (Variable(i, name, 2) for i, name in enumerate("rabcd"))
+        half = [0.5] * 4
+        cpts = {
+            0: make_potential([r], [0.5, 0.5]),
+            1: make_potential([r, c, a], half * 2),
+            2: make_potential([a, b], half),
+            3: make_potential([b, c], half),
+            4: make_potential([c, d], half),
+        }
+        net = BayesNet([r, a, b, c, d], [(0, 1), (3, 1), (1, 2), (2, 3), (3, 4)], cpts)
+        assert validate(net) == ["acyclicity violation: directed cycle 'a' -> 'b' -> 'c' -> 'a'"]
 
     def test_self_arc_reported(self):
         net = tiny_chain()
         net.arcs.append((1, 1))
         assert any("self" in p for p in validate(net))
+        assert validate(net) == ["self-arc on variable 'b'"]
+
+    def test_missing_cpt_reported(self):
+        net = tiny_chain()
+        del net.cpts[1]
+        assert validate(net) == ["variable 'b' has no CPT"]
+
+    def test_cardinality_mismatch_reported(self):
+        net = tiny_chain()
+        a3 = Variable(0, "a", 3)
+        net.cpts[0] = make_potential([a3], [0.2, 0.3, 0.5])
+        assert validate(net) == ["CPT of variable 'a' has 3 states, the variable has 2"]
 
     def test_disconnected_reported(self):
         a = Variable(0, "a", 2)
@@ -70,6 +98,9 @@ class TestValidate:
         net = tiny_chain()
         net.cpts[1] = make_potential([net.var(1)], [0.5, 0.5])
         assert any("domain" in p for p in validate(net))
+        assert validate(net) == [
+            "CPT of variable 'b' has domain ['b'], not its parents then itself ['a', 'b']"
+        ]
 
     def test_arc_reference_out_of_range(self):
         net = tiny_chain()
