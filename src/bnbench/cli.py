@@ -20,7 +20,7 @@ import numpy as np
 from bnbench.compile import compile_structures
 from bnbench.engines import hugin_run, ls_run, ss_run
 from bnbench.fileio import (
-    CSV_SCHEMA,
+    ARCHES,
     load_network,
     read_rows,
     rows_to_csv,
@@ -42,7 +42,6 @@ from bnbench.network import (
 )
 from bnbench.storage import peak_working_memory, storage_report
 
-ARCHES = ("ls", "hugin", "ss")
 RUNNERS = {"ls": ls_run, "hugin": hugin_run, "ss": ss_run}
 REPORT_SCHEMA = "bnbench-report-1"
 
@@ -131,6 +130,8 @@ def _infer_results(net, evidence, arch, tree_choice, targets):
 
 
 def cmd_infer(args):
+    if args.storage and args.format == "csv":
+        raise ValueError("--storage does not go with --format csv: the CSV holds marginals only")
     net, evidence = _load_case(args.network)
     targets = _target_ids(net, args.targets)
     results, _ = _infer_results(net, evidence, args.arch, args.tree, targets)
@@ -150,7 +151,7 @@ def cmd_infer(args):
                 lines.append("| %s | %s | %d | %d | %d | %d |" % row)
             else:
                 lines.append("arch=%s tree=%s adds=%d mults=%d divs=%d total=%d" % row)
-        if args.storage and args.format != "csv":
+        if args.storage:
             stor = storage_report(res.arch, tree, net, evidence, targets)
             lines.append(
                 "storage arch=%s input=%d evidence=%d clique=%d separator=%d "

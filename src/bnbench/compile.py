@@ -334,55 +334,17 @@ def condense(tree: JoinTree) -> JoinTree:
 
 
 def attach_singletons(tree: JoinTree, targets) -> JoinTree:
-    """Ensure every target variable has a singleton node, preserving binarity.
+    """Check that every target variable has a singleton node; return ``tree``.
 
-    Hosts are the fewest-variable containing nodes (ties: smallest state
-    space, then lowest id).  A degree-3 host is first split into two copies
-    that share its neighbors, keeping every degree at 3 or less.  When every
-    target already has a singleton, as on every tree built by
-    :func:`binary_join_tree` (it seeds all singletons itself), ``tree`` itself
-    is returned; otherwise a new tree.
+    Adds no nodes: :func:`binary_join_tree` seeds a singleton node for every
+    variable and :func:`condense` merges only equal domains, so every
+    compiled binary tree passes.  A tree without a singleton node for some
+    target raises :class:`CompileError` naming the variable.
     """
-    missing = []
     for x in sorted(set(targets)):
-        hosts = tree.holders.get(x)
-        if not hosts:
-            raise CompileError("variable %r absent from every node" % x)
-        if not any(tree.nodes[n] == (x,) for n in hosts):
-            missing.append(x)
-    if not missing:
-        return tree
-    nodes = dict(tree.nodes)
-    adj = {n: set(tree.adj[n]) for n in nodes}
-    # twins are added to these lists, so the tree's own index must not be shared
-    holders = {v: list(nids) for v, nids in tree.holders.items()}
-    fresh = max(nodes) + 1
-    for x in missing:
-        host = min(
-            holders[x],
-            key=lambda n: (len(nodes[n]), _statespace(nodes[n], tree.cards), n),
-        )
-        if len(adj[host]) >= 3:
-            twin = fresh
-            fresh += 1
-            nodes[twin] = nodes[host]
-            for v in nodes[twin]:
-                holders[v].append(twin)
-            moved = sorted(adj[host])[2:]
-            adj[twin] = set(moved)
-            for q in moved:
-                adj[q].discard(host)
-                adj[q].add(twin)
-            adj[host] -= set(moved)
-            adj[host].add(twin)
-            adj[twin].add(host)
-            host = twin
-        singleton = fresh
-        fresh += 1
-        nodes[singleton] = (x,)
-        adj[singleton] = {host}
-        adj[host].add(singleton)
-    return JoinTree(tree.kind, nodes, {n: sorted(adj[n]) for n in nodes}, dict(tree.cards))
+        if not any(tree.nodes[n] == (x,) for n in tree.holders.get(x, ())):
+            raise CompileError("variable %r has no singleton node" % x)
+    return tree
 
 
 def junction_tree(bjt: JoinTree) -> JoinTree:
@@ -479,7 +441,6 @@ def verify_join_tree(tree: JoinTree) -> list:
 class CompileResult:
     order: list
     potentials: list
-    hypergraph: list
     junction: JoinTree
     binary: JoinTree
 
@@ -498,4 +459,4 @@ def compile_structures(net: BayesNet, evidence: dict) -> CompileResult:
         problems = verify_join_tree(tree)
         if problems:
             raise CompileError("compiled %s tree invalid: %s" % (tree.kind, "; ".join(problems)))
-    return CompileResult(order, pots, hypergraph, jt, bjt)
+    return CompileResult(order, pots, jt, bjt)

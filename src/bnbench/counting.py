@@ -9,17 +9,16 @@ from dataclasses import dataclass
 class OpCounter:
     """Tallies of binary arithmetic operations, split by kind.
 
-    ``total()`` weighs divisions like additions and multiplications by
-    default; report tooling can re-weigh from the components.
+    ``total()`` weighs divisions like additions and multiplications; report
+    tooling re-weighs from the components.
     """
 
     adds: int = 0
     mults: int = 0
     divs: int = 0
 
-    def total(self, div_weight: float = 1.0):
-        t = self.adds + self.mults + self.divs * div_weight
-        return int(t) if float(t).is_integer() else t
+    def total(self) -> int:
+        return self.adds + self.mults + self.divs
 
     def as_tuple(self):
         return (self.adds, self.mults, self.divs)

@@ -3,13 +3,13 @@
 All engines run on a compiled, potential-assigned JoinTree and charge a
 single OpCounter.  Shared conventions that the counting targets pin down:
 
-* Working tables live on the full node domain and start as marked identity
-  potentials.  Loading the first factor into a marked table is a free copy
-  (numerically a product with ones); every later factor costs one
-  multiplication per node configuration.  Initialization is counted.
-* A node whose table is still marked when it must send stays silent: the
-  message would be vacuous, so nothing is counted, Hugin separators keep
-  their identity mark, and the receiver skips the product.
+* An absent table means "nothing yet".  LS and Hugin node tables and Hugin
+  separator registers start empty.  Loading the first factor into a node is
+  a free copy (``embed``); every later factor costs one multiplication per
+  node configuration.  Initialization is counted.
+* A node with no table when it must send stays silent: the message would
+  be vacuous, so nothing is counted, the register stays empty, and the
+  receiver skips the product.  A vacuous SS message is stored as None.
 * Root selection, child ordering, tie-breaks, and fold orders are all fixed,
   so counters are bit-reproducible.
 """
@@ -46,14 +46,16 @@ class EngineResult:
     messages: dict
 
 
-def _absorb(table: Potential, pot: Potential, cards: dict, counter: OpCounter) -> Potential:
-    """Fold ``pot`` into a node table: free copy when still marked, else product."""
-    if table.is_identity:
-        return embed(pot, table.domain, cards)
+def _absorb(table, pot: Potential, domain, cards: dict, counter: OpCounter) -> Potential:
+    """Fold ``pot`` into a node table: a free copy onto ``domain`` when there is none yet."""
+    if table is None:
+        return embed(pot, domain, cards)
     return multiply(table, pot, counter)
 
 
 def _check_assignments(tree: JoinTree, potentials):
+    if not potentials:
+        raise EngineError("no input potentials to propagate")
     placed = sorted(i for idxs in tree.assignments.values() for i in idxs)
     if placed != list(range(len(potentials))):
         raise EngineError(
@@ -63,12 +65,11 @@ def _check_assignments(tree: JoinTree, potentials):
 
 
 def _init_tables(tree: JoinTree, potentials, counter: OpCounter) -> dict:
+    """Tables of the nodes with assigned potentials; every other node has none yet."""
     tables = {}
     for n in sorted(tree.nodes):
-        t = identity_over(tree.nodes[n], tree.cards)
         for i in tree.assignments.get(n, ()):
-            t = _absorb(t, potentials[i], tree.cards, counter)
-        tables[n] = t
+            tables[n] = _absorb(tables.get(n), potentials[i], tree.nodes[n], tree.cards, counter)
     return tables
 
 
@@ -89,7 +90,7 @@ def _targets(tree: JoinTree, targets):
     return sorted(set(targets))
 
 
-def ls_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResult:
+def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     """Lauritzen-Spiegelhalter propagation.
 
     Inward: each non-root node marginalizes to its separator, the inward
@@ -97,30 +98,28 @@ def ls_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
     by the message.  Outward: plain marginalize-and-multiply, no divisions.
     Singleton marginals come from a smallest containing clique.
     """
-    counter = counter if counter is not None else OpCounter()
+    counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
     tables = _init_tables(tree, potentials, counter)
-    root, preorder, postorder, parent, children = tree.rooting
+    _, preorder, postorder, parent, children = tree.rooting
 
-    for n in postorder:
-        if n == root:
-            continue
-        t = tables[n]
-        if t.is_identity:
+    for n in postorder[:-1]:  # every node but the root, which comes last
+        t = tables.get(n)
+        if t is None:
             continue
         p = parent[n]
         msg = marginalize(t, tree.separator(n, p), counter)
-        tables[p] = _absorb(tables[p], msg, tree.cards, counter)
+        tables[p] = _absorb(tables.get(p), msg, tree.nodes[p], tree.cards, counter)
         tables[n] = divide(t, msg, counter)
 
     for n in preorder:
+        t = tables.get(n)
+        if t is None:
+            continue
         for c in children[n]:
-            t = tables[n]
-            if t.is_identity:
-                continue
             msg = marginalize(t, tree.separator(n, c), counter)
-            tables[c] = _absorb(tables[c], msg, tree.cards, counter)
+            tables[c] = _absorb(tables.get(c), msg, tree.nodes[c], tree.cards, counter)
 
     marginals = {}
     for x in targets:
@@ -129,48 +128,45 @@ def ls_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
     return EngineResult("ls", tree.kind, marginals, tables, counter, {})
 
 
-def hugin_run(tree: JoinTree, potentials, targets=None, counter=None, on_step=None) -> EngineResult:
+def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineResult:
     """Hugin propagation with separator registers.
 
-    Every separator holds its last message; a sender forwards the quotient
-    of the new message by the stored one (free while the store is still
-    identity).  One outward special case: a non-singleton leaf whose whole
-    domain equals its separator is served by the separator register itself,
-    so neither the quotient nor the receiving product is performed.
+    Every separator register holds its last message; a sender forwards the
+    quotient of the new message by the stored one, or the message itself
+    while the register is still empty.  One outward special case: a
+    non-singleton leaf whose whole domain equals its separator is served by
+    the separator register itself, so neither the quotient nor the receiving
+    product is performed.
     Singleton marginals come from a smallest separator containing the
     variable when one exists, else from a smallest clique.
 
     ``on_step(phase, sender, receiver, tables, store)`` is invoked after
     every message for invariant instrumentation.
     """
-    counter = counter if counter is not None else OpCounter()
+    counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
     tables = _init_tables(tree, potentials, counter)
-    root, preorder, postorder, parent, children = tree.rooting
+    _, preorder, postorder, parent, children = tree.rooting
     store = {}
 
-    for n in postorder:
-        if n == root:
-            continue
-        t = tables[n]
-        if t.is_identity:
+    for n in postorder[:-1]:  # every node but the root, which comes last
+        t = tables.get(n)
+        if t is None:
             continue
         p = parent[n]
-        key = _edge_key(n, p)
         msg = marginalize(t, tree.separator(n, p), counter)
-        old = store.get(key)
-        quotient = msg if old is None else divide(msg, old, counter)
-        store[key] = msg
-        tables[p] = _absorb(tables[p], quotient, tree.cards, counter)
+        # each register is first written inward, so the message goes as it is
+        store[_edge_key(n, p)] = msg
+        tables[p] = _absorb(tables.get(p), msg, tree.nodes[p], tree.cards, counter)
         if on_step is not None:
             on_step("inward", n, p, tables, store)
 
     for n in preorder:
+        t = tables.get(n)
+        if t is None:
+            continue
         for c in children[n]:
-            t = tables[n]
-            if t.is_identity:
-                continue
             key = _edge_key(n, c)
             sep = tree.separator(n, c)
             msg = marginalize(t, sep, counter)
@@ -181,14 +177,14 @@ def hugin_run(tree: JoinTree, potentials, targets=None, counter=None, on_step=No
                 old = store.get(key)
                 quotient = msg if old is None else divide(msg, old, counter)
                 store[key] = msg
-                tables[c] = _absorb(tables[c], quotient, tree.cards, counter)
+                tables[c] = _absorb(tables.get(c), quotient, tree.nodes[c], tree.cards, counter)
             if on_step is not None:
                 on_step("outward", n, c, tables, store)
 
     marginals = {}
     for x in targets:
         best = tree.best_separators.get(x)
-        if best is not None and store.get(best[1]) is not None:
+        if best is not None and best[1] in store:
             source = store[best[1]]
         else:
             source = tables[_designated(tree, x)]
@@ -205,7 +201,7 @@ def _fold(factors, counter: OpCounter):
     return prod
 
 
-def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResult:
+def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     """Shenoy-Shafer propagation: two passes over the rooting.  Never divides.
 
     Only demanded messages are sent.  The sinks are each target's
@@ -227,7 +223,7 @@ def ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResu
     join tree with singleton nodes this never fires and the singleton's own
     node marginal is already the answer.
     """
-    counter = counter if counter is not None else OpCounter()
+    counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
     root, preorder, postorder, parent, children = tree.rooting

@@ -49,6 +49,9 @@ ROW_FIELDS = [
     "total_fpn",
     "peak_fpn",
 ]
+ARCHES = ("ls", "hugin", "ss")
+# The text fields of a row and the values each may take; every other field is an integer.
+ROW_CHOICES = {"arch": ARCHES, "tree": ("junction", "binary")}
 
 
 def network_to_dict(net: BayesNet, evidence: dict = None, state_labels: dict = None) -> dict:
@@ -75,25 +78,41 @@ def network_to_dict(net: BayesNet, evidence: dict = None, state_labels: dict = N
     return doc
 
 
+def _variable(i: int, item) -> Variable:
+    """Variable ``i`` from its file entry; an error names the entry or the variable."""
+    name = item.get("name") if isinstance(item, dict) else None
+    if not isinstance(name, str):
+        raise NetworkError("variable entry %d needs a string 'name': %r" % (i, item))
+    states = item.get("states")
+    if isinstance(states, bool) or not isinstance(states, (list, int)):
+        raise NetworkError("variable %r: 'states' must be a list of labels or a count, got %r" % (name, states))
+    return Variable(i, name, len(states) if isinstance(states, list) else states)
+
+
 def network_from_dict(doc: dict):
-    try:
-        specs = doc["variables"]
-        arcs_by_name = doc.get("arcs", [])
-        cpts_raw = doc["cpts"]
-    except (KeyError, TypeError) as exc:
-        raise NetworkError("network file missing required key: %s" % exc)
+    if not isinstance(doc, dict):
+        raise NetworkError("network file must hold a JSON object, not %s" % type(doc).__name__)
+    for key, kind in (("variables", list), ("arcs", list), ("cpts", dict), ("evidence", dict)):
+        value = doc.get(key)
+        if value is None and key in ("variables", "cpts"):
+            raise NetworkError("network file missing required key: %r" % key)
+        if value is not None and not isinstance(value, kind):
+            raise NetworkError(
+                "%r must be a JSON %s, got %r" % (key, "array" if kind is list else "object", value)
+            )
+    cpts_raw = doc["cpts"]
     variables = []
     index = {}
-    for i, item in enumerate(specs):
-        name = item["name"]
-        states = item["states"]
-        card = len(states) if isinstance(states, list) else int(states)
-        if name in index:
-            raise NetworkError("duplicate variable name %r" % name)
-        index[name] = i
-        variables.append(Variable(i, name, card))
+    for i, item in enumerate(doc["variables"]):
+        v = _variable(i, item)
+        if v.name in index:
+            raise NetworkError("duplicate variable name %r" % v.name)
+        index[v.name] = i
+        variables.append(v)
     arcs = {}  # (parent id, child id) -> None; keeps declaration order
-    for pair in arcs_by_name:
+    for pair in doc.get("arcs") or ():
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+            raise NetworkError("arc %r is not a [parent, child] pair of variable names" % (pair,))
         p, c = pair
         if p not in index or c not in index:
             raise NetworkError("arc %r references unknown variable" % (pair,))
@@ -185,7 +204,25 @@ def write_rows(path: str, rows: list):
         fp.write(rows_to_csv(rows))
 
 
+def _check_row(row: dict, where: str):
+    """Raise NetworkError naming ``where`` unless ``row`` has every field, each well-typed."""
+    fields = [v for k, v in row.items() if k is not None and v is not None] + row.get(None, [])
+    if len(fields) != len(ROW_FIELDS):
+        raise NetworkError("%s: %d fields, expected %d" % (where, len(fields), len(ROW_FIELDS)))
+    for key in ROW_FIELDS:
+        value = row[key]
+        if key in ROW_CHOICES:
+            if value not in ROW_CHOICES[key]:
+                raise NetworkError("%s: unknown %s %r" % (where, key, value))
+            continue
+        try:
+            int(value)
+        except ValueError:
+            raise NetworkError("%s: field %r is not an integer: %r" % (where, key, value)) from None
+
+
 def read_rows(path: str) -> list:
+    """Rows of a benchmark CSV as string dicts; every row is checked on the way in."""
     with open(path) as fp:
         first = fp.readline().strip()
         if first != "# %s" % CSV_SCHEMA:
@@ -193,4 +230,9 @@ def read_rows(path: str) -> list:
         reader = csv.DictReader(fp)
         if reader.fieldnames != ROW_FIELDS:
             raise NetworkError("%s: column set does not match %s" % (path, CSV_SCHEMA))
-        return [dict(row) for row in reader]
+        rows = []
+        for row in reader:
+            # the schema tag line is read before the csv reader starts counting
+            _check_row(row, "%s: line %d" % (path, reader.line_num + 1))
+            rows.append(dict(row))
+        return rows

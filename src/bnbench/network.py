@@ -180,8 +180,7 @@ def check_evidence(net: BayesNet, evidence: dict) -> list:
         arr = np.asarray(vec, dtype=np.float64)
         if arr.shape != (cards[vid],):
             problems.append(
-                "evidence vector on %r has length %d, expected %d"
-                % (name, arr.size, cards[vid])
+                "evidence vector on %r has shape %r, expected (%d,)" % (name, arr.shape, cards[vid])
             )
         elif not np.all(np.isfinite(arr)):
             problems.append("evidence vector on %r has a non-finite entry: %r" % (name, arr.tolist()))

@@ -47,16 +47,13 @@ class Potential:
     """Immutable dense table over an ordered variable-id domain.
 
     ``values.shape`` carries the per-variable cardinalities in domain order.
-    ``is_identity`` marks an all-ones neutral table, such as the ones
-    :func:`identity_over` builds; the mark never survives arithmetic.
     """
 
-    __slots__ = ("domain", "values", "is_identity")
+    __slots__ = ("domain", "values")
 
-    def __init__(self, domain, values, is_identity=False):
+    def __init__(self, domain, values):
         self.domain = tuple(domain)
         self.values = values
-        self.is_identity = is_identity
 
     @property
     def size(self):
@@ -87,17 +84,21 @@ def make_potential(domain: Sequence[Variable], values) -> Potential:
 
 
 def identity_over(domain: Sequence[int], cards: dict) -> Potential:
-    """Identity potential from raw variable ids and a cardinality map."""
+    """All-ones potential from raw variable ids and a cardinality map.
+
+    A plain table like any other: Shenoy-Shafer uses it as the uniform
+    stand-in for a node or variable that receives nothing.
+    """
     dom = tuple(domain)
-    return Potential(dom, np.ones(tuple(cards[v] for v in dom)), is_identity=True)
+    return Potential(dom, np.ones(tuple(cards[v] for v in dom)))
 
 
 def embed(pot: Potential, domain: Sequence[int], cards: dict) -> Potential:
     """Broadcast ``pot`` onto a superset ``domain`` without counting anything.
 
-    Numerically a multiplication by ones; used where an engine loads a
-    potential into an empty working table, which costs no arithmetic.
-    The result never carries the identity mark.
+    Numerically a multiplication by ones; the engines use it to load the
+    first factor into a node that has no table yet, which costs no
+    arithmetic.
     """
     dom = tuple(domain)
     if not set(pot.domain) <= set(dom):
@@ -151,9 +152,7 @@ def marginalize(a: Potential, keep: Iterable[int], counter: OpCounter) -> Potent
 
 
 def divide(num: Potential, den: Potential, counter: OpCounter) -> Potential:
-    """Pointwise quotient with 0/0 := 0; identity-marked denominators are free."""
-    if den.is_identity:
-        return Potential(num.domain, num.values)
+    """Pointwise quotient with 0/0 := 0."""
     if not set(den.domain) <= set(num.domain):
         raise PotentialError("denominator domain %r exceeds numerator %r" % (den.domain, num.domain))
     den_v = _expand(den, num.domain)

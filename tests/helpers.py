@@ -13,7 +13,11 @@ The ``reference_*`` functions are:
 * the restart-from-scratch compile loops that the worklist versions in
   ``bnbench.compile`` must match choice for choice;
 * the memoized demand-driven Shenoy-Shafer run that the two-pass
-  ``bnbench.engines.ss_run`` must match bit for bit.
+  ``bnbench.engines.ss_run`` must match bit for bit;
+* the LS and Hugin runs that start every node table as a marked all-ones
+  identity (:class:`MarkedIdentity`) and let ``reference_divide`` skip a
+  marked denominator, which the engines, whose tables and registers start
+  absent, must match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,17 +29,28 @@ import numpy as np
 
 from bnbench.compile import JoinTree, _statespace
 from bnbench.counting import OpCounter
-from bnbench.engines import EngineResult, _check_assignments, _designated, _targets
+from bnbench.engines import EngineResult, _check_assignments, _designated, _edge_key, _targets
 from bnbench.potentials import (
     InconsistencyError,
     Potential,
     PotentialError,
     Variable,
+    embed,
     identity_over,
     marginalize,
     multiply,
     normalize,
 )
+
+
+class MarkedIdentity(Potential):
+    """An all-ones table marked as the neutral element.
+
+    The mark is the type: arithmetic builds plain potentials, so it never
+    survives an operation.
+    """
+
+    __slots__ = ()
 
 
 def from_values(domain_ids: Sequence[int], cards: Sequence[int], values) -> Potential:
@@ -48,12 +63,12 @@ def identity_potential(domain: Sequence[Variable]) -> Potential:
     """All-ones potential; carries the identity mark until arithmetic touches it."""
     ids = tuple(v.id for v in domain)
     cards = tuple(v.cardinality for v in domain)
-    return Potential(ids, np.ones(cards), is_identity=True)
+    return MarkedIdentity(ids, np.ones(cards))
 
 
 def identity_scalar() -> Potential:
     """The empty-domain unit element."""
-    return Potential((), np.ones(()), is_identity=True)
+    return MarkedIdentity((), np.ones(()))
 
 
 def iter_configurations(domain: Sequence[int], cards: dict) -> Iterator[dict]:
@@ -116,8 +131,11 @@ def reference_marginalize(a: Potential, keep, counter) -> Potential:
 
 
 def reference_divide(num: Potential, den: Potential, counter) -> Potential:
-    """``divide`` that always masks the zero cells of the denominator."""
-    if den.is_identity:
+    """``divide`` that always masks the zero cells of the denominator.
+
+    A marked identity denominator is free and leaves the numerator as it is.
+    """
+    if isinstance(den, MarkedIdentity):
         return Potential(num.domain, num.values)
     if not set(den.domain) <= set(num.domain):
         raise PotentialError("denominator domain %r exceeds numerator %r" % (den.domain, num.domain))
@@ -364,7 +382,7 @@ def reference_junction_tree(bjt: JoinTree) -> JoinTree:
     return JoinTree("junction", out_nodes, out_adj, dict(bjt.cards))
 
 
-def reference_ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> EngineResult:
+def reference_ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     """Shenoy-Shafer demand-driven propagation with memoized recursion.  Never divides.
 
     The earlier form of ``bnbench.engines.ss_run``: the two-pass run must
@@ -384,7 +402,7 @@ def reference_ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> 
     join tree with singleton nodes this never fires and the singleton's own
     node marginal is already the answer.
     """
-    counter = counter if counter is not None else OpCounter()
+    counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
     own_cache = {}
@@ -477,3 +495,119 @@ def reference_ss_run(tree: JoinTree, potentials, targets=None, counter=None) -> 
         else:
             marginals[x] = normalize(identity_over((x,), tree.cards))
     return EngineResult("ss", tree.kind, marginals, node_marginals, counter, messages)
+
+
+def _reference_absorb(table: Potential, pot: Potential, cards: dict, counter) -> Potential:
+    """Fold ``pot`` into a node table: free copy when still marked, else product."""
+    if isinstance(table, MarkedIdentity):
+        return embed(pot, table.domain, cards)
+    return multiply(table, pot, counter)
+
+
+def _reference_init_tables(tree: JoinTree, potentials, counter) -> dict:
+    tables = {}
+    for n in sorted(tree.nodes):
+        dom = tree.nodes[n]
+        t = MarkedIdentity(dom, np.ones(tuple(tree.cards[v] for v in dom)))
+        for i in tree.assignments.get(n, ()):
+            t = _reference_absorb(t, potentials[i], tree.cards, counter)
+        tables[n] = t
+    return tables
+
+
+def reference_ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
+    """Lauritzen-Spiegelhalter run whose node tables start as marked identities.
+
+    The earlier form of ``bnbench.engines.ls_run``: a node whose table is
+    still marked when it must send stays silent.
+    """
+    counter = OpCounter()
+    _check_assignments(tree, potentials)
+    targets = _targets(tree, targets)
+    tables = _reference_init_tables(tree, potentials, counter)
+    root, preorder, postorder, parent, children = tree.rooting
+
+    for n in postorder:
+        if n == root:
+            continue
+        t = tables[n]
+        if isinstance(t, MarkedIdentity):
+            continue
+        p = parent[n]
+        msg = marginalize(t, tree.separator(n, p), counter)
+        tables[p] = _reference_absorb(tables[p], msg, tree.cards, counter)
+        tables[n] = reference_divide(t, msg, counter)
+
+    for n in preorder:
+        for c in children[n]:
+            t = tables[n]
+            if isinstance(t, MarkedIdentity):
+                continue
+            msg = marginalize(t, tree.separator(n, c), counter)
+            tables[c] = _reference_absorb(tables[c], msg, tree.cards, counter)
+
+    marginals = {}
+    for x in targets:
+        source = tables[_designated(tree, x)]
+        marginals[x] = normalize(marginalize(source, (x,), counter))
+    return EngineResult("ls", tree.kind, marginals, tables, counter, {})
+
+
+def reference_hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineResult:
+    """Hugin run whose node tables start as marked identities.
+
+    The earlier form of ``bnbench.engines.hugin_run``: a node whose table is
+    still marked when it must send stays silent, and every message is
+    divided by its register unless the register is empty.
+    """
+    counter = OpCounter()
+    _check_assignments(tree, potentials)
+    targets = _targets(tree, targets)
+    tables = _reference_init_tables(tree, potentials, counter)
+    root, preorder, postorder, parent, children = tree.rooting
+    store = {}
+
+    for n in postorder:
+        if n == root:
+            continue
+        t = tables[n]
+        if isinstance(t, MarkedIdentity):
+            continue
+        p = parent[n]
+        key = _edge_key(n, p)
+        msg = marginalize(t, tree.separator(n, p), counter)
+        old = store.get(key)
+        quotient = msg if old is None else reference_divide(msg, old, counter)
+        store[key] = msg
+        tables[p] = _reference_absorb(tables[p], quotient, tree.cards, counter)
+        if on_step is not None:
+            on_step("inward", n, p, tables, store)
+
+    for n in preorder:
+        for c in children[n]:
+            t = tables[n]
+            if isinstance(t, MarkedIdentity):
+                continue
+            key = _edge_key(n, c)
+            sep = tree.separator(n, c)
+            msg = marginalize(t, sep, counter)
+            if tree.degree(c) == 1 and tree.nodes[c] == sep and len(sep) > 1:
+                store[key] = msg
+                tables[c] = msg
+            else:
+                old = store.get(key)
+                quotient = msg if old is None else reference_divide(msg, old, counter)
+                store[key] = msg
+                tables[c] = _reference_absorb(tables[c], quotient, tree.cards, counter)
+            if on_step is not None:
+                on_step("outward", n, c, tables, store)
+
+    marginals = {}
+    for x in targets:
+        best = tree.best_separators.get(x)
+        if best is not None and store.get(best[1]) is not None:
+            source = store[best[1]]
+        else:
+            source = tables[_designated(tree, x)]
+        marginals[x] = normalize(marginalize(source, (x,), counter))
+    return EngineResult("hugin", tree.kind, marginals, tables, counter, store)

@@ -102,6 +102,12 @@ class TestInfer:
         assert "| arch | tree | adds | mults | divs | total |" in out
         assert "| hugin | junction | 60 | 96 | 16 | 172 |" in out
 
+    def test_storage_with_csv_is_usage_error(self, chest_file, capsys):
+        assert main(["infer", "--network", chest_file, "--format", "csv", "--storage"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--storage does not go with --format csv" in captured.err
+
     def test_storage_lines(self, chest_file, capsys):
         assert main(["infer", "--network", chest_file, "--arch", "ss", "--storage"]) == 0
         out = capsys.readouterr().out
@@ -205,6 +211,54 @@ class TestInputErrors:
         path = _edited_chest(chest_file, tmp_path, edit)
         assert main(["infer", "--network", path]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda doc: doc["variables"][0].pop("name"),
+                "variable entry 0 needs a string 'name': {'states': ['yes', 'no']}",
+            ),
+            (
+                lambda doc: doc["variables"][0].update(name=["A"]),
+                "variable entry 0 needs a string 'name': {'name': ['A'], 'states': ['yes', 'no']}",
+            ),
+            (
+                lambda doc: doc["variables"][0].update(states="x"),
+                "variable 'A': 'states' must be a list of labels or a count, got 'x'",
+            ),
+            (
+                lambda doc: doc.update(variables=5),
+                "'variables' must be a JSON array, got 5",
+            ),
+            (
+                lambda doc: doc["arcs"].append(["A"]),
+                "arc ['A'] is not a [parent, child] pair of variable names",
+            ),
+            (
+                lambda doc: doc.update(cpts=[1]),
+                "'cpts' must be a JSON object, got [1]",
+            ),
+            (
+                lambda doc: doc.update(evidence=[1]),
+                "'evidence' must be a JSON object, got [1]",
+            ),
+            (
+                lambda doc: doc["evidence"].update(A=[[1, 0]]),
+                "evidence vector on 'A' has shape (1, 2), expected (2,)",
+            ),
+        ],
+        ids=[
+            "no-name", "list-name", "string-states", "variables-not-list", "one-name-arc",
+            "cpts-not-object", "evidence-not-object", "nested-evidence",
+        ],
+    )
+    def test_malformed_file_names_what_is_wrong(self, chest_file, tmp_path, capsys, edit, message):
+        path = _edited_chest(chest_file, tmp_path, edit)
+        assert main(["infer", "--network", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestBench:
@@ -349,6 +403,39 @@ class TestReport:
         alien = tmp_path / "alien.csv"
         alien.write_text("a,b\n1,2\n")
         assert main(["report", str(alien)]) == 2
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda line: line.rsplit(",", 3)[0], "line 3: 19 fields, expected 22"),
+            (lambda line: line.replace(",ls,", ",lx,"), "line 3: unknown arch 'lx'"),
+            (lambda line: line.replace(",junction,", ",tree,"), "line 3: unknown tree 'tree'"),
+            (lambda line: line + ",7", "line 3: 23 fields, expected 22"),
+        ],
+        ids=["truncated", "unknown-arch", "unknown-tree", "extra-field"],
+    )
+    def test_rejects_malformed_row(self, rows_file, capsys, edit, message):
+        with open(rows_file) as fp:
+            lines = fp.read().splitlines()
+        assert ",ls,junction," in lines[2]
+        lines[2] = edit(lines[2])
+        with open(rows_file, "w") as fp:
+            fp.write("\n".join(lines) + "\n")
+        assert main(["report", rows_file]) == 2
+        err = capsys.readouterr().err
+        assert "%s: %s" % (rows_file, message) in err
+        assert "Traceback" not in err
+
+    def test_rejects_non_integer_count(self, rows_file, capsys):
+        with open(rows_file) as fp:
+            lines = fp.read().splitlines()
+        fields = lines[2].split(",")
+        fields[11] = "abc"  # adds
+        lines[2] = ",".join(fields)
+        with open(rows_file, "w") as fp:
+            fp.write("\n".join(lines) + "\n")
+        assert main(["report", rows_file]) == 2
+        assert "%s: line 3: field 'adds' is not an integer: 'abc'" % rows_file in capsys.readouterr().err
 
     def test_deterministic_output(self, rows_file, capsys):
         assert main(["report", rows_file]) == 0

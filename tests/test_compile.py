@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnbench.compile import (
+    CompileError,
     JoinTree,
     attach_singletons,
     binary_join_tree,
@@ -139,36 +140,29 @@ class TestAttachSingletons:
     def test_seeded_pipeline_needs_no_attachment(self, chest_comp):
         before = dict(chest_comp.binary.nodes)
         out = attach_singletons(chest_comp.binary, range(8))
+        assert out is chest_comp.binary
         assert dict(out.nodes) == before
 
-    def test_attaches_missing_singleton_to_smallest_host(self):
-        cards = {0: 2, 1: 2, 2: 2}
-        tree = JoinTree(
-            kind="binary",
-            nodes={0: (0, 1), 1: (1, 2)},
-            adj={0: [1], 1: [0]},
-            cards=cards,
-            assignments={},
-        )
-        out = attach_singletons(tree, [2])
-        new = max(out.nodes)
-        assert out.nodes[new] == (2,)
-        assert new in out.adj[1]
-
-    def test_splits_full_host(self):
-        cards = {0: 2, 1: 2, 2: 2, 3: 2, 4: 2}
-        # host 0 already has three neighbors; attaching one more must split it
-        tree = JoinTree(
-            kind="binary",
-            nodes={0: (0, 1), 1: (0, 1, 2), 2: (0, 1, 3), 3: (0, 1, 4)},
-            adj={0: [1, 2, 3], 1: [0], 2: [0], 3: [0]},
-            cards=cards,
-            assignments={},
-        )
-        out = attach_singletons(tree, [1])
-        assert any(out.nodes[n] == (1,) for n in out.nodes)
-        assert verify_join_tree(out) == []
-        assert max(out.degree(n) for n in out.nodes) <= 3
+    @pytest.mark.parametrize(
+        "nodes,adj,missing",
+        [
+            ({0: (0, 1), 1: (1, 2), 2: (0,)}, {0: [1, 2], 1: [0], 2: [0]}, 2),
+            # the host has three neighbors already
+            (
+                {0: (0, 1), 1: (0, 1, 2), 2: (0, 1, 3), 3: (0, 1, 4), 4: (0,)},
+                {0: [1, 2, 3], 1: [0, 4], 2: [0], 3: [0], 4: [1]},
+                1,
+            ),
+        ],
+        ids=["leaf-host", "full-host"],
+    )
+    def test_missing_singleton_raises_naming_the_variable(self, nodes, adj, missing):
+        cards = {v: 2 for dom in nodes.values() for v in dom}
+        tree = JoinTree(kind="binary", nodes=nodes, adj=adj, cards=cards)
+        assert verify_join_tree(tree) == []
+        with pytest.raises(CompileError, match="variable %d has no singleton node" % missing):
+            attach_singletons(tree, [0, missing])
+        assert tree.nodes == nodes
 
 
 def _compiled(seed, trial, n, c2, m, p):

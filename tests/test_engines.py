@@ -7,9 +7,9 @@ from bnbench.compile import compile_structures
 from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
 from bnbench.generate import GenParams, random_case
-from bnbench.network import input_potentials, joint_oracle, oracle_marginals
-from bnbench.potentials import marginalize, multiply
-from helpers import reference_ss_run
+from bnbench.network import BayesNet, joint_oracle, oracle_marginals
+from bnbench.potentials import PotentialError, Variable, make_potential, marginalize
+from helpers import MarkedIdentity, reference_hugin_run, reference_ls_run, reference_ss_run
 
 # n=200 binary networks, past the brute-force oracle's reach.
 LONG = GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013)
@@ -188,6 +188,89 @@ class TestTwoPassMatchesMemoizedRun:
             _assert_ss_matches_reference(tree, comp.potentials, None)
 
 
+def _assert_same_counter(got, want):
+    assert (got.adds, got.mults, got.divs) == (want.adds, want.mults, want.divs)
+
+
+def _recorder(steps):
+    """An ``on_step`` hook that keeps (phase, sender, receiver) and the tables and registers."""
+
+    def record(phase, sender, receiver, tables, store):
+        steps.append((phase, sender, receiver, dict(tables), dict(store)))
+
+    return record
+
+
+def _assert_ls_hugin_match_references(tree, potentials, targets):
+    got = ls_run(tree, potentials, targets)
+    want = reference_ls_run(tree, potentials, targets)
+    _assert_same_counter(got.counter, want.counter)
+    _assert_same_tables(got.node_marginals, want.node_marginals)
+    _assert_same_tables(got.singleton_marginals, want.singleton_marginals)
+
+    got_steps, want_steps = [], []
+    got = hugin_run(tree, potentials, targets, on_step=_recorder(got_steps))
+    want = reference_hugin_run(tree, potentials, targets, on_step=_recorder(want_steps))
+    _assert_same_counter(got.counter, want.counter)
+    _assert_same_tables(got.node_marginals, want.node_marginals)
+    _assert_same_tables(got.messages, want.messages)
+    _assert_same_tables(got.singleton_marginals, want.singleton_marginals)
+    assert [s[:3] for s in got_steps] == [s[:3] for s in want_steps]
+    for g, w in zip(got_steps, want_steps):
+        # a node without a table is one whose reference table is still marked
+        unmarked = {n: t for n, t in w[3].items() if not isinstance(t, MarkedIdentity)}
+        _assert_same_tables(g[3], unmarked)
+        _assert_same_tables(g[4], w[4])
+
+
+class TestAbsentTablesMatchMarkedIdentities:
+    """Tables and registers that start absent give the marked-identity run bit for bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 30),
+        st.integers(2, 4),
+        st.integers(2, 4),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_networks(self, seed, n, c2, m, data):
+        net, ev = random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0)
+        comp = compile_structures(net, ev)
+        ids = st.integers(0, n - 1)
+        # every variable, none, one, or a random subset
+        targets = data.draw(
+            st.one_of(
+                st.none(),
+                st.just([]),
+                st.lists(ids, min_size=1, max_size=1),
+                st.lists(ids, unique=True),
+            )
+        )
+        for tree in (comp.junction, comp.binary):
+            _assert_ls_hugin_match_references(tree, comp.potentials, targets)
+
+    def test_chest_target_sets(self, chest_comp):
+        for targets in (None, [], [6], [0, 3, 7]):
+            for tree in (chest_comp.junction, chest_comp.binary):
+                _assert_ls_hugin_match_references(tree, chest_comp.potentials, targets)
+
+    def test_binary_tree_has_silent_senders(self, chest_comp):
+        # the chest binary tree has nodes with no potential, so the inward
+        # pass meets senders that have nothing to send
+        tree = chest_comp.binary
+        assert any(n not in tree.assignments for n in tree.nodes)
+        steps = []
+        hugin_run(tree, chest_comp.potentials, on_step=_recorder(steps))
+        assert len(steps) < 2 * (len(tree.nodes) - 1)
+        assert sorted(steps[-1][3]) == sorted(tree.nodes)
+
+    def test_long_trial(self):
+        comp = compile_structures(*random_case(LONG, 0))
+        for tree in (comp.junction, comp.binary):
+            _assert_ls_hugin_match_references(tree, comp.potentials, None)
+
+
 class TestCrossArchitectureAgreement:
     """LS, Hugin and SS agree where the brute-force oracle cannot run."""
 
@@ -201,6 +284,74 @@ class TestCrossArchitectureAgreement:
             assert sorted(other) == sorted(ss)
             worst = max(float(np.abs(other[x].values - ss[x].values).max()) for x in ss)
             assert worst <= 1e-9, arch
+
+
+def _binary_chain(n, seed):
+    """X0 -> X1 -> ... -> X(n-1), binary, with CPT rows drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    variables = [Variable(i, "X%d" % i, 2) for i in range(n)]
+    first = rng.uniform(0.2, 0.8)
+    cpts = {0: make_potential([variables[0]], [first, 1.0 - first])}
+    for i in range(1, n):
+        a, b = rng.uniform(0.05, 0.95, size=2)
+        cpts[i] = make_potential(variables[i - 1:i + 1], [a, 1.0 - a, b, 1.0 - b])
+    return BayesNet(variables, [(i, i + 1) for i in range(n - 1)], cpts)
+
+
+def _forward_backward(net, evidence):
+    """Singleton posteriors of a binary chain by scaled forward-backward recursions."""
+    n = net.n
+    lik = [np.asarray(evidence.get(i, np.ones(2)), dtype=float) for i in range(n)]
+    trans = [None] + [net.cpts[i].values for i in range(1, n)]  # [parent state, child state]
+    alpha = [None] * n
+    a = net.cpts[0].values * lik[0]
+    alpha[0] = a / a.sum()
+    for i in range(1, n):
+        a = (alpha[i - 1] @ trans[i]) * lik[i]
+        alpha[i] = a / a.sum()
+    beta = [None] * n
+    beta[n - 1] = np.ones(2)
+    for i in range(n - 2, -1, -1):
+        b = trans[i + 1] @ (lik[i + 1] * beta[i + 1])
+        beta[i] = b / b.sum()
+    post = {}
+    for i in range(n):
+        p = alpha[i] * beta[i]
+        post[i] = p / p.sum()
+    return post
+
+
+class TestChainOracle:
+    """All three engines against a forward-backward oracle, past the brute-force cap."""
+
+    def test_oracle_matches_the_joint_on_a_short_chain(self):
+        net = _binary_chain(12, seed=12)
+        evidence = {0: np.array([0.3, 0.9]), 5: np.array([1.0, 0.0]), 11: np.array([0.2, 0.4])}
+        brute = oracle_marginals(net, evidence)
+        chain = _forward_backward(net, evidence)
+        assert max(float(np.abs(chain[x] - brute[x]).max()) for x in brute) <= 1e-12
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_evidence_on_every_17th_node(self, n):
+        net = _binary_chain(n, seed=n)
+        rng = np.random.default_rng(n + 1)
+        evidence = {i: rng.uniform(0.05, 1.0, size=2) for i in range(0, n, 17)}
+        oracle = _forward_backward(net, evidence)
+        for arch, res in run_all(net, evidence).items():
+            assert _worst(res, oracle) <= 1e-9, arch
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=PotentialError,
+        reason="underflow: P(e) is about 1e-1200, so every engine's table mass reaches 0",
+    )
+    def test_tiny_soft_evidence_on_every_node(self):
+        n = 400
+        net = _binary_chain(n, seed=n)
+        evidence = {i: np.array([1e-3, 1e-3]) for i in range(n)}
+        oracle = _forward_backward(net, evidence)
+        for arch, res in run_all(net, evidence).items():
+            assert _worst(res, oracle) <= 1e-9, arch
 
 
 class TestPropagationHook:
@@ -295,6 +446,20 @@ class TestErrors:
         )
         with pytest.raises(EngineError):
             ls_run(bare, chest_comp.potentials)
+
+    def test_no_potentials_rejected(self, chest_comp):
+        from bnbench.compile import JoinTree
+
+        # with nothing to load, no node would ever get a table
+        bare = JoinTree(
+            kind="junction",
+            nodes=dict(chest_comp.junction.nodes),
+            adj={n: list(a) for n, a in chest_comp.junction.adj.items()},
+            cards=chest_comp.junction.cards,
+        )
+        for run in (ls_run, hugin_run, ss_run):
+            with pytest.raises(EngineError, match="no input potentials"):
+                run(bare, [])
 
     def test_unknown_target_rejected(self, chest_comp):
         with pytest.raises(EngineError):

@@ -1,6 +1,6 @@
 import pytest
 
-from bnbench.compile import JoinTree, attach_singletons, compile_structures
+from bnbench.compile import JoinTree, compile_structures
 from bnbench.engines import hugin_run, ss_run
 from bnbench.generate import GenParams, random_case
 from helpers import (
@@ -53,20 +53,6 @@ def test_holders_of_chest_junction_tree(chest_comp):
     assert chest_comp.junction.holders == {
         0: [0], 1: [4], 2: [0, 1], 3: [1, 4, 5], 4: [3, 4, 5], 5: [1, 2, 3, 5], 6: [2], 7: [3],
     }
-
-
-def test_attach_singletons_leaves_the_input_index_alone():
-    # no variable has a singleton and node 0 is full, so a twin joins the holder lists
-    tree = JoinTree(
-        kind="binary",
-        nodes={0: (0, 1), 1: (0, 1, 2), 2: (0, 1, 3), 3: (0, 1, 4)},
-        adj={0: [1, 2, 3], 1: [0], 2: [0], 3: [0]},
-        cards={i: 2 for i in range(5)},
-    )
-    before = {x: list(nids) for x, nids in tree.holders.items()}
-    out = attach_singletons(tree, range(5))
-    assert tree.holders == before
-    assert out.holders == {x: [n for n in sorted(out.nodes) if x in out.nodes[n]] for x in out.cards}
 
 
 def test_engines_build_separators_a_few_times_per_edge(monkeypatch):

@@ -19,6 +19,7 @@ from bnbench.potentials import (
     normalize,
 )
 from helpers import (
+    MarkedIdentity,
     from_values,
     identity_potential,
     identity_scalar,
@@ -50,7 +51,6 @@ class TestMultiply:
         out = multiply(make_potential([A], [0.3, 0.7]), identity_potential([A]), c)
         np.testing.assert_allclose(out.values, [0.3, 0.7])
         assert c.mults == 2
-        assert not out.is_identity
 
     def test_disjoint_domains_outer_product(self):
         c = OpCounter()
@@ -117,13 +117,12 @@ class TestMarginalize:
 
 
 class TestDivide:
-    def test_identity_denominator_skipped(self):
+    def test_all_ones_denominator_is_counted(self):
         c = OpCounter()
         num = make_potential([T], [0.4, 0.6])
-        out = divide(num, identity_potential([T]), c)
-        np.testing.assert_allclose(out.values, [0.4, 0.6])
-        assert c.divs == 0
-        assert not out.is_identity
+        out = divide(num, identity_over([T.id], {T.id: 2}), c)
+        np.testing.assert_array_equal(out.values, num.values)
+        assert c.divs == 2
 
     def test_zero_over_zero_is_zero(self):
         c = OpCounter()
@@ -175,16 +174,23 @@ class TestNormalize:
 
 class TestIdentity:
     def test_constructors_are_marked(self):
-        assert identity_potential([A]).is_identity
-        assert identity_scalar().is_identity
-        assert identity_over([0, 1], {0: 2, 1: 3}).is_identity
+        # the test-side mark that the marked-identity reference engines read
+        assert isinstance(identity_potential([A]), MarkedIdentity)
+        assert isinstance(identity_scalar(), MarkedIdentity)
+
+    def test_identity_over_is_plain_all_ones(self):
+        out = identity_over([0, 1], {0: 2, 1: 3})
+        assert type(out) is Potential
+        assert Potential.__slots__ == ("domain", "values")
+        assert out.domain == (0, 1)
+        np.testing.assert_array_equal(out.values, np.ones((2, 3)))
 
     def test_mark_never_survives_arithmetic(self):
         c = OpCounter()
         i = identity_potential([A])
-        assert not multiply(i, i, c).is_identity
-        assert not marginalize(i, [0], c).is_identity
-        assert not divide(i, i, c).is_identity
+        assert type(multiply(i, i, c)) is Potential
+        assert type(marginalize(i, [0], c)) is Potential
+        assert type(divide(i, i, c)) is Potential
 
     def test_embed_is_uncounted_copy(self):
         c = OpCounter()
@@ -193,7 +199,7 @@ class TestIdentity:
         assert out.domain == (0, 1)
         np.testing.assert_allclose(out.values.reshape(-1), [0.3, 0.3, 0.7, 0.7])
         assert c.as_tuple() == (0, 0, 0)
-        assert not out.is_identity
+        assert type(out) is Potential
 
 
 def _random_potential(rng, ids, cards, positive=False):
