@@ -51,9 +51,10 @@ class JoinTree:
     ``nodes``, ``adj`` and ``cards`` are never changed once a tree is built:
     every compile stage builds a new tree.  So the structural index (the
     cached properties ``spaces``, ``separators``, ``sep_spaces``,
-    ``holders``, ``rooting``, ``designated`` and ``best_separators``) is
-    computed on first use and kept for the life of the tree.  Code that
-    edits a tree's structure must build a new JoinTree instead.
+    ``holders``, ``rooting``, ``sends``, ``designated`` and
+    ``best_separators``) is computed on first use and kept for the life of
+    the tree.  Code that edits a tree's structure must build a new JoinTree
+    instead.
     """
 
     kind: str
@@ -115,22 +116,16 @@ class JoinTree:
     def rooting(self) -> Rooting:
         """The tree rooted at its biggest-state-space node (ties: lowest id).
 
-        Children keep ``adj`` order; the preorder visits them in that order
-        and the postorder lists every subtree before its root.
+        One depth-first walk from the root builds both orders: children
+        keep ``adj`` order, the preorder visits them in that order and the
+        postorder lists every subtree before its root.  A node already
+        reached is never entered again, so on a graph that is not a tree the
+        walk still stops, having reached the root's component only.
         """
         root = min(sorted(self.nodes), key=lambda n: (-self.spaces[n], n))
         parent = {root: None}
         children = {}
         preorder = []
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            preorder.append(n)
-            kids = [q for q in self.adj[n] if q != parent[n]]
-            children[n] = kids
-            for q in reversed(kids):
-                parent[q] = n
-                stack.append(q)
         postorder = []
         stack = [(root, False)]
         while stack:
@@ -138,21 +133,32 @@ class JoinTree:
             if done:
                 postorder.append(n)
                 continue
+            preorder.append(n)
+            kids = [q for q in self.adj[n] if q not in parent]
+            children[n] = kids
             stack.append((n, True))
-            for q in reversed(children[n]):
+            for q in reversed(kids):
+                parent[q] = n
                 stack.append((q, False))
         return Rooting(root, preorder, postorder, parent, children)
 
     @cached_property
+    def sends(self) -> list:
+        """Every directed edge once, in message order.
+
+        Each non-root node to its parent in postorder, then each node to its
+        children in preorder: a node sends inward after hearing from all its
+        children, and outward after hearing from its parent.
+        """
+        root, preorder, postorder, parent, children = self.rooting
+        inward = [(n, parent[n]) for n in postorder if n != root]
+        return inward + [(n, c) for n in preorder for c in children[n]]
+
+    @cached_property
     def designated(self) -> dict:
         """Variable id -> its smallest-state-space holder node; ties by lowest id."""
-        out = {}
-        for n in sorted(self.nodes):
-            key = (self.spaces[n], n)
-            for x in self.nodes[n]:
-                if x not in out or key < out[x]:
-                    out[x] = key
-        return {x: key[1] for x, key in out.items()}
+        spaces = self.spaces
+        return {x: min(nids, key=lambda n: (spaces[n], n)) for x, nids in self.holders.items()}
 
     @cached_property
     def best_separators(self) -> dict:
@@ -402,34 +408,29 @@ def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
 
 
 def verify_join_tree(tree: JoinTree) -> list:
-    """Tree-ness, running intersection, and (for binary trees) degree <= 3."""
-    problems = []
+    """Tree-ness, running intersection, and (for binary trees) degree <= 3.
+
+    Reads the tree's cached rooting, which the engines reuse.  A graph with
+    n nodes is a tree iff it has n - 1 edges and the rooting reaches every
+    node.  In a rooted tree, the holders of a variable are connected iff
+    exactly one of them is the root or has a parent that lacks the variable.
+    """
     ids = sorted(tree.nodes)
     if not ids:
         return ["empty tree"]
+    problems = []
     edge_count = sum(len(tree.adj[n]) for n in ids) // 2
     if edge_count != len(ids) - 1:
         problems.append("%d nodes need %d edges, found %d" % (len(ids), len(ids) - 1, edge_count))
-    stack, seen = [ids[0]], {ids[0]}
-    while stack:
-        for q in tree.adj[stack.pop()]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    if len(seen) != len(ids):
+    parent = tree.rooting.parent
+    if len(parent) != len(ids):
         problems.append("tree is disconnected")
         return problems
-
-    for x, nids in sorted(tree.holders.items()):
-        held = set(nids)
-        stack, reached = [nids[0]], {nids[0]}
-        while stack:
-            for q in tree.adj[stack.pop()]:
-                if q in held and q not in reached:
-                    reached.add(q)
-                    stack.append(q)
-        if reached != held:
-            problems.append("running intersection fails for variable %r" % x)
+    if not problems:  # running intersection is a property of trees only
+        for x, nids in sorted(tree.holders.items()):
+            tops = sum(parent[n] is None or x not in tree.nodes[parent[n]] for n in nids)
+            if tops != 1:
+                problems.append("running intersection fails for variable %r" % x)
     if tree.kind == "binary":
         for n in ids:
             if len(tree.adj[n]) > 3:

@@ -91,35 +91,28 @@ def _targets(tree: JoinTree, targets):
 
 
 def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
-    """Lauritzen-Spiegelhalter propagation.
+    """Lauritzen-Spiegelhalter propagation: one loop over ``tree.sends``.
 
-    Inward: each non-root node marginalizes to its separator, the inward
-    neighbor multiplies the message in, and the sender divides its own table
-    by the message.  Outward: plain marginalize-and-multiply, no divisions.
+    Each send marginalizes the sender's table onto the separator and the
+    receiver multiplies the message in.  When the receiver is the sender's
+    parent (the inward sends), the sender then divides its own table by the
+    message; the outward sends divide nothing.
     Singleton marginals come from a smallest containing clique.
     """
     counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
     tables = _init_tables(tree, potentials, counter)
-    _, preorder, postorder, parent, children = tree.rooting
+    parent = tree.rooting.parent
 
-    for n in postorder[:-1]:  # every node but the root, which comes last
-        t = tables.get(n)
+    for a, b in tree.sends:
+        t = tables.get(a)
         if t is None:
             continue
-        p = parent[n]
-        msg = marginalize(t, tree.separator(n, p), counter)
-        tables[p] = _absorb(tables.get(p), msg, tree.nodes[p], tree.cards, counter)
-        tables[n] = divide(t, msg, counter)
-
-    for n in preorder:
-        t = tables.get(n)
-        if t is None:
-            continue
-        for c in children[n]:
-            msg = marginalize(t, tree.separator(n, c), counter)
-            tables[c] = _absorb(tables.get(c), msg, tree.nodes[c], tree.cards, counter)
+        msg = marginalize(t, tree.separator(a, b), counter)
+        tables[b] = _absorb(tables.get(b), msg, tree.nodes[b], tree.cards, counter)
+        if parent[a] == b:
+            tables[a] = divide(t, msg, counter)
 
     marginals = {}
     for x in targets:
@@ -129,57 +122,45 @@ def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
 
 
 def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineResult:
-    """Hugin propagation with separator registers.
+    """Hugin propagation with separator registers: one loop over ``tree.sends``.
 
     Every separator register holds its last message; a sender forwards the
     quotient of the new message by the stored one, or the message itself
-    while the register is still empty.  One outward special case: a
-    non-singleton leaf whose whole domain equals its separator is served by
-    the separator register itself, so neither the quotient nor the receiving
-    product is performed.
+    while the register is still empty, as it is for every inward send.  One
+    outward special case: a non-singleton leaf whose whole domain equals its
+    separator is served by the separator register itself, so neither the
+    quotient nor the receiving product is performed.
     Singleton marginals come from a smallest separator containing the
     variable when one exists, else from a smallest clique.
 
     ``on_step(phase, sender, receiver, tables, store)`` is invoked after
-    every message for invariant instrumentation.
+    every message for invariant instrumentation; ``phase`` is ``"inward"``
+    when the receiver is the sender's parent, else ``"outward"``.
     """
     counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
     tables = _init_tables(tree, potentials, counter)
-    _, preorder, postorder, parent, children = tree.rooting
+    parent = tree.rooting.parent
     store = {}
 
-    for n in postorder[:-1]:  # every node but the root, which comes last
-        t = tables.get(n)
+    for a, b in tree.sends:
+        t = tables.get(a)
         if t is None:
             continue
-        p = parent[n]
-        msg = marginalize(t, tree.separator(n, p), counter)
-        # each register is first written inward, so the message goes as it is
-        store[_edge_key(n, p)] = msg
-        tables[p] = _absorb(tables.get(p), msg, tree.nodes[p], tree.cards, counter)
+        inward = parent[a] == b
+        key = _edge_key(a, b)
+        sep = tree.separator(a, b)
+        msg = marginalize(t, sep, counter)
+        old = store.get(key)
+        store[key] = msg
+        if not inward and tree.degree(b) == 1 and tree.nodes[b] == sep and len(sep) > 1:
+            tables[b] = msg  # a leaf served by its separator register
+        else:
+            quotient = msg if old is None else divide(msg, old, counter)
+            tables[b] = _absorb(tables.get(b), quotient, tree.nodes[b], tree.cards, counter)
         if on_step is not None:
-            on_step("inward", n, p, tables, store)
-
-    for n in preorder:
-        t = tables.get(n)
-        if t is None:
-            continue
-        for c in children[n]:
-            key = _edge_key(n, c)
-            sep = tree.separator(n, c)
-            msg = marginalize(t, sep, counter)
-            if tree.degree(c) == 1 and tree.nodes[c] == sep and len(sep) > 1:
-                store[key] = msg
-                tables[c] = msg
-            else:
-                old = store.get(key)
-                quotient = msg if old is None else divide(msg, old, counter)
-                store[key] = msg
-                tables[c] = _absorb(tables.get(c), quotient, tree.nodes[c], tree.cards, counter)
-            if on_step is not None:
-                on_step("outward", n, c, tables, store)
+            on_step("inward" if inward else "outward", a, b, tables, store)
 
     marginals = {}
     for x in targets:
@@ -202,16 +183,17 @@ def _fold(factors, counter: OpCounter):
 
 
 def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
-    """Shenoy-Shafer propagation: two passes over the rooting.  Never divides.
+    """Shenoy-Shafer propagation: one loop over ``tree.sends``.  Never divides.
 
     Only demanded messages are sent.  The sinks are each target's
     designated node (the smallest node containing it) and both ends of each
     separator used for extraction; a message toward b is demanded iff a sink
     lies on b's side of the edge.  With ``below[n]`` the number of sinks in
-    n's rooted subtree, the inward pass (postorder) sends n -> parent iff
-    some sink lies outside n's subtree, and the outward pass (preorder) sends
-    n -> c iff ``below[c] > 0``; so every message a sender folds already
-    exists.  A message from a toward b folds the messages from a's other
+    n's rooted subtree, an inward send n -> parent is demanded iff some sink
+    lies outside n's subtree, and an outward send n -> c iff ``below[c] > 0``.
+    A demanded message's inputs are demanded too and come earlier in
+    ``tree.sends``, so every message a sender folds already exists.  A
+    message from a toward b folds the messages from a's other
     neighbors (ascending neighbor id) and finally a's combined own potential,
     then marginalizes onto the separator; with nothing to fold it is vacuous
     (None).  Node marginals fold all incoming messages plus the own
@@ -226,7 +208,7 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
-    root, preorder, postorder, parent, children = tree.rooting
+    root, _, postorder, parent, _ = tree.rooting
     designated = {x: _designated(tree, x) for x in targets}
     extract = {}
     for x in targets:
@@ -246,10 +228,11 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     if below[root]:
         for n in sorted(tree.nodes):
             own[n] = _fold([potentials[i] for i in tree.assignments.get(n, ())], counter)
-    sends = [(n, parent[n]) for n in postorder if n != root and below[n] < below[root]]
-    sends += [(n, c) for n in preorder for c in children[n] if below[c]]
     messages = {}
-    for a, b in sends:
+    for a, b in tree.sends:
+        sinks_beyond = below[root] - below[a] if parent[a] == b else below[b]
+        if not sinks_beyond:
+            continue
         prod = _fold([messages[q, a] for q in tree.adj[a] if q != b] + [own[a]], counter)
         if prod is not None:
             sep = tree.separator(a, b)

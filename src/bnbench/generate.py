@@ -32,10 +32,12 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.c1 < 1 or self.c2 < 2 or self.m < 2:
-            raise ValueError("need n >= 2, c1 >= 1, c2 >= 2, m >= 2")
-        if not 1 <= self.p <= self.n:
-            raise ValueError("need 1 <= p <= n")
+        for name, low in (("n", 2), ("c1", 1), ("c2", 2), ("m", 2), ("p", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError("generator parameter %r must be >= %d, got %r" % (name, low, value))
+        if self.p > self.n:
+            raise ValueError("generator parameter 'p' must be <= n = %d, got %r" % (self.n, self.p))
 
 
 def splitmix64(state: int) -> int:

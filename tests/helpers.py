@@ -10,6 +10,9 @@ The ``reference_*`` functions are:
   spaces, root, rooted orders, designated nodes, best separators, hosts)
   that each tree's cached index in ``bnbench.compile.JoinTree`` must
   reproduce;
+* the join-tree check with its own connectivity walk and one walk per
+  variable, whose problem lists ``bnbench.compile.verify_join_tree``, which
+  reads the cached rooting, must repeat;
 * the restart-from-scratch compile loops that the worklist versions in
   ``bnbench.compile`` must match choice for choice;
 * the memoized demand-driven Shenoy-Shafer run that the two-pass
@@ -238,6 +241,42 @@ def reference_host(tree: JoinTree, domain) -> int:
     dom = set(domain)
     hosts = [n for n in tree.nodes if dom <= set(tree.nodes[n])]
     return min(hosts, key=lambda n: (reference_space(tree, tree.nodes[n]), n))
+
+
+def reference_verify_join_tree(tree: JoinTree) -> list:
+    """Tree-ness, running intersection and binary degree, each by its own walk."""
+    problems = []
+    ids = sorted(tree.nodes)
+    if not ids:
+        return ["empty tree"]
+    edge_count = sum(len(tree.adj[n]) for n in ids) // 2
+    if edge_count != len(ids) - 1:
+        problems.append("%d nodes need %d edges, found %d" % (len(ids), len(ids) - 1, edge_count))
+    stack, seen = [ids[0]], {ids[0]}
+    while stack:
+        for q in tree.adj[stack.pop()]:
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    if len(seen) != len(ids):
+        problems.append("tree is disconnected")
+        return problems
+
+    for x, nids in sorted(tree.holders.items()):
+        held = set(nids)
+        stack, reached = [nids[0]], {nids[0]}
+        while stack:
+            for q in tree.adj[stack.pop()]:
+                if q in held and q not in reached:
+                    reached.add(q)
+                    stack.append(q)
+        if reached != held:
+            problems.append("running intersection fails for variable %r" % x)
+    if tree.kind == "binary":
+        for n in ids:
+            if len(tree.adj[n]) > 3:
+                problems.append("node %d has %d neighbors" % (n, len(tree.adj[n])))
+    return problems
 
 
 def reference_elimination_order(graph: dict, cards: dict) -> list:

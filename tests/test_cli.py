@@ -336,6 +336,28 @@ class TestBench:
         assert "deviates nan" in captured.err
         assert "oracle check: 30 failures" in captured.out
 
+    def test_verify_oracle_to_stdout_reports_on_stderr(self, capsys):
+        argv = ["bench", "--params", "n=40", "--trials", "2"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out
+        assert main(argv + ["--verify-oracle"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == rows
+        assert captured.err == "oracle check: 0 failures, 2 skipped (joint above cap)\n"
+
+    def test_verify_oracle_to_stdout_counts_failures(self, monkeypatch, capsys):
+        oracle_marginals = cli.oracle_marginals
+
+        def nan_oracle(*args):
+            return {x: np.full_like(p, np.nan) for x, p in oracle_marginals(*args).items()}
+
+        monkeypatch.setattr(cli, "oracle_marginals", nan_oracle)
+        argv = ["bench", "--params", "5,5,2,2,1", "--trials", "2", "--seed", "2", "--verify-oracle"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("# bnbench-rows-1\n")
+        assert captured.err.endswith("oracle check: 30 failures, 0 skipped (joint above cap)\n")
+
     @pytest.mark.parametrize("cap", ["-5", "0", "1.5", "big"])
     def test_rejects_bad_oracle_cap(self, tmp_path, capsys, cap):
         argv = [
@@ -355,6 +377,17 @@ class TestBench:
     def test_non_integer_param_is_named(self, capsys, spec, key):
         assert main(["bench", "--params", spec, "--trials", "1"]) == 2
         assert "generator parameter %r is not an integer" % key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("n=8,c2=1", "generator parameter 'c2' must be >= 2, got 1"),
+            ("8,5,2,2,9", "generator parameter 'p' must be <= n = 8, got 9"),
+        ],
+    )
+    def test_out_of_range_param_is_named(self, capsys, spec, message):
+        assert main(["bench", "--params", spec, "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_zero_trials_is_usage_error(self, capsys):
         assert main(["bench", "--params", "6,5,2,3,2", "--trials", "0"]) == 2

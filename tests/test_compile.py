@@ -1,4 +1,5 @@
 import hashlib
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from helpers import (
     reference_condense,
     reference_elimination_order,
     reference_junction_tree,
+    reference_verify_join_tree,
     triangulate,
 )
 
@@ -227,6 +229,9 @@ class TestVerifyJoinTree:
         assert any("intersection" in p or "path" in p for p in verify_join_tree(tree))
 
     def test_detects_cycle(self):
+        def hung(signum, frame):
+            raise AssertionError("the rooting walk did not stop on a cycle")
+
         cards = {0: 2, 1: 2}
         tree = JoinTree(
             kind="junction",
@@ -235,7 +240,14 @@ class TestVerifyJoinTree:
             cards=cards,
             assignments={},
         )
-        assert verify_join_tree(tree) != []
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(2)
+        try:
+            assert verify_join_tree(tree) == ["3 nodes need 2 edges, found 3"]
+            assert sorted(tree.rooting.preorder) == sorted(tree.rooting.postorder) == [0, 1, 2]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_detects_binary_degree_violation(self):
         cards = {i: 2 for i in range(5)}
@@ -247,6 +259,106 @@ class TestVerifyJoinTree:
             assignments={},
         )
         assert any("neighbors" in p for p in verify_join_tree(tree))
+
+
+def _rebuilt(tree, nodes=None, adj=None):
+    """A new tree of the same kind from edited copies of ``nodes`` and ``adj``."""
+    nodes = dict(tree.nodes if nodes is None else nodes)
+    adj = {n: sorted(qs) for n, qs in (tree.adj if adj is None else adj).items()}
+    return JoinTree(tree.kind, nodes, adj, dict(tree.cards))
+
+
+def _sets(adj):
+    return {n: set(qs) for n, qs in adj.items()}
+
+
+class TestVerifyMatchesReference:
+    """The rooting-based check returns the per-variable-walk check's problem list."""
+
+    @staticmethod
+    def _same(tree):
+        problems = verify_join_tree(tree)
+        assert problems == reference_verify_join_tree(tree)
+        return problems
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 14),
+        st.integers(2, 4),
+        st.integers(2, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_compiled_trees(self, seed, n, c2, m):
+        _, _, comp = _compiled(seed, 4, n, c2, m, 1)
+        for tree in (comp.junction, comp.binary):
+            assert self._same(tree) == []
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 14), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_variable_dropped_inside_its_path(self, seed, n, data):
+        _, _, comp = _compiled(seed, 5, n, 3, 3, 1)
+        for tree in (comp.junction, comp.binary):
+            inner = [
+                (x, nid)
+                for x, nids in sorted(tree.holders.items())
+                for nid in nids
+                if len(tree.nodes[nid]) > 1 and sum(q in nids for q in tree.adj[nid]) >= 2
+            ]
+            if not inner:
+                continue
+            x, nid = data.draw(st.sampled_from(inner))
+            nodes = dict(tree.nodes)
+            nodes[nid] = tuple(v for v in nodes[nid] if v != x)
+            problems = self._same(_rebuilt(tree, nodes=nodes))
+            assert "running intersection fails for variable %r" % x in problems
+
+    @given(st.integers(0, 2**32 - 1), st.integers(6, 14), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_degree_four_binary_node(self, seed, n, data):
+        _, _, comp = _compiled(seed, 6, n, 3, 3, 1)
+        tree = comp.binary
+        moves = [
+            (leaf, hub)
+            for hub in sorted(tree.nodes)
+            if tree.degree(hub) == 3
+            for leaf in sorted(tree.nodes)
+            if tree.degree(leaf) == 1 and leaf not in tree.adj[hub]
+        ]
+        if not moves:
+            return
+        leaf, hub = data.draw(st.sampled_from(moves))
+        adj = _sets(tree.adj)
+        (old,) = adj[leaf]
+        adj[old].discard(leaf)
+        adj[leaf] = {hub}
+        adj[hub].add(leaf)
+        problems = self._same(_rebuilt(tree, adj=adj))
+        assert "node %d has 4 neighbors" % hub in problems
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 14), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_edge_moved_to_close_a_cycle(self, seed, n, data):
+        _, _, comp = _compiled(seed, 7, n, 3, 3, 1)
+        for tree in (comp.junction, comp.binary):
+            ids = sorted(tree.nodes)
+            moves = [
+                (leaf, u, v)
+                for leaf in ids
+                if tree.degree(leaf) == 1
+                for u in ids
+                for v in ids
+                if leaf not in (u, v) and u < v and v not in tree.adj[u]
+            ]
+            if not moves:
+                continue
+            leaf, u, v = data.draw(st.sampled_from(moves))
+            adj = _sets(tree.adj)
+            (old,) = adj[leaf]
+            adj[old].discard(leaf)
+            adj[leaf] = set()
+            adj[u].add(v)
+            adj[v].add(u)
+            assert self._same(_rebuilt(tree, adj=adj)) == ["tree is disconnected"]
 
 
 def _assert_stages_match_references(net, ev):

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bnbench.compile import compile_structures
+from bnbench.compile import JoinTree, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
 from bnbench.generate import GenParams, random_case
 from bnbench.network import BayesNet, joint_oracle, oracle_marginals
 from bnbench.potentials import PotentialError, Variable, make_potential, marginalize
-from helpers import MarkedIdentity, reference_hugin_run, reference_ls_run, reference_ss_run
+from helpers import (
+    MarkedIdentity,
+    from_values,
+    reference_hugin_run,
+    reference_ls_run,
+    reference_ss_run,
+)
 
 # n=200 binary networks, past the brute-force oracle's reach.
 LONG = GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013)
@@ -384,6 +390,18 @@ class TestSmallTrees:
             assert res.messages == {}
             assert _worst(res, oracle) <= 1e-12
 
+    def test_leaf_rule_serves_outward_sends_only(self):
+        # both nodes hold (0, 1): the root is a degree-1 node equal to its
+        # separator, but only the leaf it sends to outward is served by the register
+        tree = JoinTree("junction", {0: (0, 1), 1: (0, 1)}, {0: [1], 1: [0]}, {0: 2, 1: 3})
+        tree.assignments = {0: [0], 1: [1]}
+        pots = [from_values((0,), (2,), [0.3, 0.7]), from_values((0, 1), (2, 3), [1, 2, 3, 4, 5, 6])]
+        assert tree.sends == [(1, 0), (0, 1)]
+        _assert_ls_hugin_match_references(tree, pots, None)
+        joint = pots[0].values[:, None] * pots[1].values
+        want = joint.sum(axis=1) / joint.sum()
+        np.testing.assert_allclose(hugin_run(tree, pots).singleton_marginals[0].values, want)
+
     def test_run_all_uses_natural_trees(self, chest, chest_evidence):
         out = run_all(chest, chest_evidence)
         assert out["ls"].tree_kind == "junction"
@@ -431,6 +449,49 @@ class TestCountInvariants:
         oracle = oracle_marginals(net, ev)
         for res in run_all(net, ev).values():
             assert _worst(res, oracle) <= 1e-9
+
+
+def _with_deterministic_rows(net, rng, share):
+    """Copy of ``net`` whose CPT rows are, each with chance ``share``, one-hot."""
+    cpts = {}
+    for v in net.variables:
+        rows = net.cpts[v.id].values.reshape(-1, v.cardinality).copy()
+        for row in rows:
+            if rng.uniform() < share:
+                row[:] = 0.0
+                row[rng.integers(v.cardinality)] = 1.0
+        cpts[v.id] = make_potential([net.var(u) for u in net.family(v.id)], rows)
+    return BayesNet(net.variables, net.arcs, cpts)
+
+
+class TestZerosAndOneVariable:
+    """Deterministic CPT rows and a one-variable network, against the brute-force oracle."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_deterministic_rows(self, seed, n, c2, m, share):
+        net, ev = random_case(GenParams(n=n, c2=c2, m=m, p=min(3, n), seed=seed), 0)
+        net = _with_deterministic_rows(net, np.random.default_rng(seed), share)
+        assume(float(joint_oracle(net, ev).values.sum()) > 0.0)
+        oracle = oracle_marginals(net, ev)
+        for arch, res in run_all(net, ev).items():
+            assert _worst(res, oracle) <= 1e-9, arch
+
+    @pytest.mark.parametrize(
+        "evidence", [{}, {0: np.array([1.0, 0.5, 0.0])}], ids=["no-evidence", "soft-evidence"]
+    )
+    def test_one_variable_network(self, evidence):
+        a = Variable(0, "A", 3)
+        net = BayesNet([a], [], {0: make_potential([a], [0.2, 0.5, 0.3])})
+        oracle = oracle_marginals(net, evidence)
+        for arch, res in run_all(net, evidence).items():
+            assert _worst(res, oracle) <= 1e-9, arch
 
 
 class TestErrors:

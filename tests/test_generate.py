@@ -51,6 +51,24 @@ class TestParams:
             GenParams(n=4, p=5)
 
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"n": 1}, "generator parameter 'n' must be >= 2, got 1"),
+            ({"n": 4, "c1": 0}, "generator parameter 'c1' must be >= 1, got 0"),
+            ({"n": 4, "c2": 1}, "generator parameter 'c2' must be >= 2, got 1"),
+            ({"n": 4, "m": 1}, "generator parameter 'm' must be >= 2, got 1"),
+            ({"n": 4, "p": 0}, "generator parameter 'p' must be >= 1, got 0"),
+            ({"n": 4, "p": 5}, "generator parameter 'p' must be <= n = 4, got 5"),
+        ],
+        ids=["n", "c1", "c2", "m", "p-low", "p-high"],
+    )
+    def test_error_names_the_parameter(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            GenParams(**kwargs)
+        assert str(info.value) == message
+
+
 class TestRandomNet:
     def test_deterministic(self):
         params = GenParams(n=9, c2=3, m=4, p=3, seed=123)

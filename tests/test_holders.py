@@ -29,7 +29,10 @@ def _assert_index_matches_full_scans(comp):
             assert tree.sep_statespace(u, v) == tree.sep_statespace(v, u) == reference_space(tree, sep)
         assert tree.holders == {x: [n for n in nodes if x in tree.nodes[n]] for x in tree.cards}
         root = reference_root(tree)
-        assert tree.rooting == (root, *reference_orient(tree, root))
+        preorder, postorder, parent, children = reference_orient(tree, root)
+        assert tree.rooting == (root, preorder, postorder, parent, children)
+        inward = [(n, parent[n]) for n in postorder if n != root]
+        assert tree.sends == inward + [(n, c) for n in preorder for c in children[n]]
         for x in sorted(tree.cards):
             assert tree.designated[x] == reference_designated(tree, x)
             assert tree.best_separators.get(x) == reference_best_separator(tree, x)
