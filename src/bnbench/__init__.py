@@ -40,6 +40,7 @@ from bnbench.potentials import (
     Potential,
     PotentialError,
     Variable,
+    ZeroMassError,
     divide,
     make_potential,
     marginalize,
@@ -63,6 +64,7 @@ __all__ = [
     "PotentialError",
     "StorageReport",
     "Variable",
+    "ZeroMassError",
     "attach_singletons",
     "binary_join_tree",
     "chest_clinic",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from bnbench.network import (
     oracle_marginals,
     validate,
 )
+from bnbench.potentials import ZeroMassError
 from bnbench.storage import peak_working_memory, storage_report
 
 RUNNERS = {"ls": ls_run, "hugin": hugin_run, "ss": ss_run}
@@ -105,6 +107,19 @@ def cmd_compile(args):
     return 0
 
 
+@contextmanager
+def _naming_evidence(net, evidence, where=""):
+    """Turn a zero-mass error inside the block into an input error naming the evidence."""
+    try:
+        yield
+    except ZeroMassError:
+        names = ", ".join(repr(net.var(x).name) for x in sorted(evidence))
+        raise ZeroMassError(
+            "%sevidence on %s has zero probability under the model, "
+            "or its probability underflows" % (where, names)
+        ) from None
+
+
 def _target_ids(net, spec):
     if not spec:
         return [v.id for v in net.variables]
@@ -123,9 +138,10 @@ def _target_ids(net, spec):
 def _infer_results(net, evidence, arch, tree_choice, targets):
     comp = compile_structures(net, evidence)
     out = []
-    for a in ARCHES if arch == "all" else (arch,):
-        tree = _natural_tree(comp, a, tree_choice)
-        out.append((RUNNERS[a](tree, comp.potentials, targets), tree))
+    with _naming_evidence(net, evidence):
+        for a in ARCHES if arch == "all" else (arch,):
+            tree = _natural_tree(comp, a, tree_choice)
+            out.append((RUNNERS[a](tree, comp.potentials, targets), tree))
     return out, comp
 
 
@@ -199,7 +215,8 @@ def _deviations(marginals: dict, oracle: dict) -> dict:
 def cmd_verify(args):
     net, evidence = _load_case(args.network)
     try:
-        oracle = oracle_marginals(net, evidence, args.oracle_cap)
+        with _naming_evidence(net, evidence):
+            oracle = oracle_marginals(net, evidence, args.oracle_cap)
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -285,7 +302,8 @@ def _bench_trial(params: GenParams, t: int):
     marginals = {}
     for arch in ARCHES:
         tree = _natural_tree(comp, arch)
-        res = RUNNERS[arch](tree, comp.potentials)
+        with _naming_evidence(net, evidence, "trial %d: " % t):
+            res = RUNNERS[arch](tree, comp.potentials)
         stor = storage_report(arch, tree, net, evidence)
         c = res.counter
         rows.append(

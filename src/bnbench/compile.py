@@ -249,6 +249,15 @@ def binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
     variable.  Seeding all singletons up front is what puts every variable's
     singleton into the final tree while keeping it binary.  The pool is held
     as an index from each variable to the pool nodes containing it.
+
+    The result is not checked here: :func:`compile_structures` checks the
+    condensed tree that replaces it.  It is a forest by construction: a node
+    gets its one edge to a newer node as it leaves the pool, so every node
+    has at most one neighbor with a higher id and no cycle can form.
+    :func:`condense` only contracts edges between adjacent equal-domain
+    nodes, so a running-intersection break or a second component survives
+    into the condensed tree, whose check reports it; a node with too many
+    neighbors either survives too or is merged into one with at most three.
     """
     nodes = {}
     adj = {}
@@ -298,11 +307,7 @@ def binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
             cont = tuple(x for x in nodes[u] if x != y)
             if cont:
                 connect(u, add(cont))
-    tree = JoinTree("binary", nodes, {n: sorted(adj[n]) for n in nodes}, dict(cards))
-    problems = verify_join_tree(tree)
-    if problems:
-        raise CompileError("fusion produced a broken tree: %s" % "; ".join(problems))
-    return tree
+    return JoinTree("binary", nodes, {n: sorted(adj[n]) for n in nodes}, dict(cards))
 
 
 def condense(tree: JoinTree) -> JoinTree:
@@ -447,7 +452,13 @@ class CompileResult:
 
 
 def compile_structures(net: BayesNet, evidence: dict) -> CompileResult:
-    """Build both assigned structures from one elimination order."""
+    """Build both assigned structures from one elimination order.
+
+    Each kept tree is checked once, by :func:`verify_join_tree`: the
+    junction tree and the condensed binary tree.  The fusion forest from
+    :func:`binary_join_tree` needs no check of its own (see there), and it
+    is discarded without ever building a structural index.
+    """
     pots, hypergraph = input_potentials(net, evidence)
     cards = net.cards
     order = elimination_order(moral_graph(net), cards)

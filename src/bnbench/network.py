@@ -15,8 +15,8 @@ import numpy as np
 from bnbench.counting import OpCounter
 from bnbench.potentials import (
     Potential,
-    PotentialError,
     Variable,
+    ZeroMassError,
     make_potential,
     marginalize,
     multiply,
@@ -294,7 +294,7 @@ def oracle_marginals(net: BayesNet, evidence: dict, cap: int = ORACLE_CAP) -> di
     joint = joint_oracle(net, evidence, cap)
     mass = float(joint.values.sum())
     if mass <= 0.0:
-        raise PotentialError("evidence has zero mass under the model")
+        raise ZeroMassError("evidence has zero mass under the model")
     scratch = OpCounter()
     out = {}
     for v in net.variables:

@@ -24,6 +24,10 @@ class PotentialError(ValueError):
     """Malformed potential construction or operand mismatch."""
 
 
+class ZeroMassError(PotentialError):
+    """Normalizing a zero-mass table: evidence of probability zero, or underflow."""
+
+
 class InconsistencyError(ArithmeticError):
     """Raised on x/0 with x > 0, which correct propagation never produces."""
 
@@ -174,5 +178,5 @@ def normalize(a: Potential) -> Potential:
     """Scale values to sum to one.  Not charged to any counter."""
     total = float(a.values.sum())
     if total <= 0.0:
-        raise PotentialError("cannot normalize zero-mass potential")
+        raise ZeroMassError("cannot normalize zero-mass potential")
     return Potential(a.domain, a.values / total)

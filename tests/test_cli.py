@@ -5,6 +5,7 @@ import pytest
 
 from bnbench import cli
 from bnbench.cli import main
+from bnbench.fileio import load_network
 
 
 @pytest.fixture()
@@ -259,6 +260,37 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+# A -> B with P(A=1) = 0 and P(B=1 | A=0) = 0, so the evidence B=1 has probability zero.
+ZERO_MASS_NET = {
+    "variables": [{"name": "A", "states": 2}, {"name": "B", "states": 2}],
+    "arcs": [["A", "B"]],
+    "cpts": {"A": [1.0, 0.0], "B": [1.0, 0.0, 0.5, 0.5]},
+    "evidence": {"B": [0.0, 1.0]},
+}
+ZERO_MASS_MESSAGE = (
+    "evidence on 'B' has zero probability under the model, or its probability underflows"
+)
+
+
+class TestZeroMassEvidence:
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(ZERO_MASS_NET))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["infer", "verify"])
+    def test_names_the_evidence(self, path, capsys, command):
+        assert main([command, "--network", path]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % ZERO_MASS_MESSAGE
+
+    def test_bench_names_the_trial_and_the_evidence(self, path, monkeypatch, capsys):
+        case = load_network(path)
+        monkeypatch.setattr(cli, "random_case", lambda params, t: case)
+        assert main(["bench", "--params", "n=2", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: trial 0: %s\n" % ZERO_MASS_MESSAGE
 
 
 class TestBench:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnbench import compile as bn_compile
 from bnbench.compile import (
     CompileError,
     JoinTree,
@@ -261,6 +262,68 @@ class TestVerifyJoinTree:
         assert any("neighbors" in p for p in verify_join_tree(tree))
 
 
+class TestEachKeptTreeCheckedOnce:
+    def test_two_checks_and_no_index_on_the_fusion_forest(self, chest, chest_evidence, monkeypatch):
+        checked, fused = [], []
+        verify, fuse = bn_compile.verify_join_tree, bn_compile.binary_join_tree
+
+        def counted_verify(tree):
+            checked.append(tree)
+            return verify(tree)
+
+        def kept_fuse(*args):
+            fused.append(fuse(*args))
+            return fused[-1]
+
+        monkeypatch.setattr(bn_compile, "verify_join_tree", counted_verify)
+        monkeypatch.setattr(bn_compile, "binary_join_tree", kept_fuse)
+        comp = compile_structures(chest, chest_evidence)
+        assert len(checked) == 2
+        assert checked[0] is comp.junction and checked[1] is comp.binary
+        (forest,) = fused
+        assert "holders" not in vars(forest) and "rooting" not in vars(forest)
+
+    @staticmethod
+    def _compile_with_broken_fusion(net, evidence, monkeypatch, edit):
+        fuse = bn_compile.binary_join_tree
+
+        def broken(*args):
+            tree = fuse(*args)
+            adj = _sets(tree.adj)
+            edit(tree, adj)
+            return _rebuilt(tree, adj=adj)
+
+        monkeypatch.setattr(bn_compile, "binary_join_tree", broken)
+        return compile_structures(net, evidence)
+
+    def test_running_intersection_break_is_reported(self, chest, chest_evidence, monkeypatch):
+        moved = []
+
+        def move_singleton_leaf(tree, adj):
+            # reattach a singleton leaf (x,) to a node without x
+            leaf = min(n for n in tree.nodes if len(tree.nodes[n]) == 1 and len(adj[n]) == 1)
+            (x,) = tree.nodes[leaf]
+            host = min(n for n in tree.nodes if x not in tree.nodes[n] and len(adj[n]) < 3)
+            (old,) = adj[leaf]
+            adj[old].discard(leaf)
+            adj[leaf] = {host}
+            adj[host].add(leaf)
+            moved.append(x)
+
+        with pytest.raises(CompileError) as err:
+            self._compile_with_broken_fusion(chest, chest_evidence, monkeypatch, move_singleton_leaf)
+        assert "running intersection fails for variable %r" % moved[0] in str(err.value)
+
+    def test_second_component_is_reported(self, chest, chest_evidence, monkeypatch):
+        def cut_first_edge(tree, adj):
+            u, v = tree.edges()[0]
+            adj[u].discard(v)
+            adj[v].discard(u)
+
+        with pytest.raises(CompileError, match="tree is disconnected"):
+            self._compile_with_broken_fusion(chest, chest_evidence, monkeypatch, cut_first_edge)
+
+
 def _rebuilt(tree, nodes=None, adj=None):
     """A new tree of the same kind from edited copies of ``nodes`` and ``adj``."""
     nodes = dict(tree.nodes if nodes is None else nodes)
@@ -368,6 +431,9 @@ def _assert_stages_match_references(net, ev):
     order = elimination_order(graph, cards)
     assert order == reference_elimination_order(graph, cards)
     fused = binary_join_tree(hypergraph, cards, order)
+    # a tree by construction: each node has at most one edge to a newer node
+    assert len(fused.edges()) == len(fused.nodes) - 1
+    assert all(sum(q > n for q in fused.adj[n]) <= 1 for n in fused.nodes)
     condensed = condense(fused)
     seeded = attach_singletons(condensed, list(cards))
     for got, want in (

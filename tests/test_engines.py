@@ -19,6 +19,9 @@ from helpers import (
 
 # n=200 binary networks, past the brute-force oracle's reach.
 LONG = GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013)
+# n=14 networks of up to six states: trials 0-4 hold 6,760 to 155,520
+# junction-tree cells, table sizes that LONG never reaches.
+WIDE = GenParams(n=14, c1=6, c2=5, m=6, p=3, seed=2013)
 
 
 def _checksum(pots):
@@ -277,19 +280,27 @@ class TestAbsentTablesMatchMarkedIdentities:
             _assert_ls_hugin_match_references(tree, comp.potentials, None)
 
 
+def _assert_architectures_agree(params, trial):
+    runs = run_all(*random_case(params, trial))
+    ss = runs["ss"].singleton_marginals
+    assert sorted(ss) == list(range(params.n))
+    for arch in ("ls", "hugin"):
+        other = runs[arch].singleton_marginals
+        assert sorted(other) == sorted(ss)
+        worst = max(float(np.abs(other[x].values - ss[x].values).max()) for x in ss)
+        assert worst <= 1e-9, arch
+
+
 class TestCrossArchitectureAgreement:
     """LS, Hugin and SS agree where the brute-force oracle cannot run."""
 
     @pytest.mark.parametrize("trial", range(5))
     def test_long_trials_agree(self, trial):
-        runs = run_all(*random_case(LONG, trial))
-        ss = runs["ss"].singleton_marginals
-        assert sorted(ss) == list(range(LONG.n))
-        for arch in ("ls", "hugin"):
-            other = runs[arch].singleton_marginals
-            assert sorted(other) == sorted(ss)
-            worst = max(float(np.abs(other[x].values - ss[x].values).max()) for x in ss)
-            assert worst <= 1e-9, arch
+        _assert_architectures_agree(LONG, trial)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_wide_trials_agree(self, trial):
+        _assert_architectures_agree(WIDE, trial)
 
 
 def _binary_chain(n, seed):
@@ -356,6 +367,83 @@ class TestChainOracle:
         net = _binary_chain(n, seed=n)
         evidence = {i: np.array([1e-3, 1e-3]) for i in range(n)}
         oracle = _forward_backward(net, evidence)
+        for arch, res in run_all(net, evidence).items():
+            assert _worst(res, oracle) <= 1e-9, arch
+
+
+def _random_tree_net(n, seed):
+    """A tree-shaped network: X0 is the root, each other Xi has one parent among X0..X(i-1).
+
+    Cardinalities are 2 or 3 and CPT rows are drawn from ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    variables = [Variable(i, "X%d" % i, int(rng.integers(2, 4))) for i in range(n)]
+    parents = [None] + [int(rng.integers(i)) for i in range(1, n)]
+    cpts = {}
+    for i, v in enumerate(variables):
+        family = [v] if i == 0 else [variables[parents[i]], v]
+        rows = rng.uniform(0.05, 1.0, size=(1 if i == 0 else family[0].cardinality, v.cardinality))
+        cpts[i] = make_potential(family, rows / rows.sum(axis=1, keepdims=True))
+    arcs = [(parents[i], i) for i in range(1, n)]
+    return BayesNet(variables, arcs, cpts)
+
+
+def _tree_passes(net, evidence):
+    """Singleton posteriors of a network whose every variable has at most one parent.
+
+    Parents must have lower ids than their children.  The upward pass sends
+    each child's likelihood message to its parent, the downward pass each
+    parent's prior message to its children, and every message is scaled to
+    sum to one, so no product underflows.
+    """
+    n = net.n
+    parent = {child: p for p, child in net.arcs}
+    kids = {i: [c for p, c in net.arcs if p == i] for i in range(n)}
+    lik = [np.asarray(evidence.get(i, np.ones(net.cards[i])), dtype=float) for i in range(n)]
+    cpt = [net.cpts[i].values for i in range(n)]  # a root's prior, else [parent state, child state]
+    lam, up = [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        lam[i] = lik[i] * np.prod([up[c] for c in kids[i]], axis=0) if kids[i] else lik[i]
+        if i in parent:
+            u = cpt[i] @ lam[i]
+            up[i] = u / u.sum()
+    pi = [None] * n
+    post = {}
+    for i in range(n):
+        if i in parent:
+            p = parent[i]
+            m = pi[p] * lik[p]
+            for c in kids[p]:
+                if c != i:
+                    m = m * up[c]
+            pi[i] = (m / m.sum()) @ cpt[i]
+        else:
+            pi[i] = cpt[i]
+        pi[i] = pi[i] / pi[i].sum()
+        b = pi[i] * lam[i]
+        post[i] = b / b.sum()
+    return post
+
+
+class TestTreeOracle:
+    """All three engines against scaled upward/downward passes on tree-shaped networks."""
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_oracle_matches_the_joint(self, n):
+        net = _random_tree_net(n, seed=n)
+        evidence = {0: np.array([0.3] + [0.9] * (net.cards[0] - 1)), n - 1: np.eye(net.cards[n - 1])[1]}
+        if n > 4:
+            evidence[n // 2] = np.linspace(0.2, 1.0, net.cards[n // 2])
+        brute = oracle_marginals(net, evidence)
+        tree = _tree_passes(net, evidence)
+        assert max(float(np.abs(tree[x] - brute[x]).max()) for x in brute) <= 1e-12
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_evidence_on_every_17th_node(self, n):
+        net = _random_tree_net(n, seed=n)
+        rng = np.random.default_rng(n + 1)
+        evidence = {i: rng.uniform(0.05, 1.0, size=net.cards[i]) for i in range(0, n, 17)}
+        oracle = _tree_passes(net, evidence)
         for arch, res in run_all(net, evidence).items():
             assert _worst(res, oracle) <= 1e-9, arch
 

@@ -9,6 +9,7 @@ from bnbench.potentials import (
     Potential,
     PotentialError,
     Variable,
+    ZeroMassError,
     _expand,
     divide,
     embed,
@@ -163,7 +164,8 @@ class TestNormalize:
         np.testing.assert_allclose(out.values, 1.0)
 
     def test_zero_mass_raises(self):
-        with pytest.raises(PotentialError):
+        assert issubclass(ZeroMassError, PotentialError)
+        with pytest.raises(ZeroMassError):
             normalize(make_potential([A], [0.0, 0.0]))
 
     def test_does_not_count(self):
