@@ -142,7 +142,7 @@ def _infer_results(net, evidence, arch, tree_choice, targets):
         for a in ARCHES if arch == "all" else (arch,):
             tree = _natural_tree(comp, a, tree_choice)
             out.append((RUNNERS[a](tree, comp.potentials, targets), tree))
-    return out, comp
+    return out
 
 
 def cmd_infer(args):
@@ -150,7 +150,7 @@ def cmd_infer(args):
         raise ValueError("--storage does not go with --format csv: the CSV holds marginals only")
     net, evidence = _load_case(args.network)
     targets = _target_ids(net, args.targets)
-    results, _ = _infer_results(net, evidence, args.arch, args.tree, targets)
+    results = _infer_results(net, evidence, args.arch, args.tree, targets)
     names = {v.id: v.name for v in net.variables}
     lines = []
     if args.format == "csv":
@@ -220,7 +220,7 @@ def cmd_verify(args):
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    results, _ = _infer_results(net, evidence, "all", "auto", None)
+    results = _infer_results(net, evidence, "all", "auto", None)
     failed = False
     for res, _tree in results:
         devs = _deviations(res.singleton_marginals, oracle)
@@ -284,6 +284,8 @@ def _parse_params(spec, seed):
             key = key.strip()
             if key not in GEN_KEYS:
                 raise ValueError("unknown generator parameter %r" % key)
+            if key in kv:
+                raise ValueError("generator parameter %r listed twice" % key)
             kv[key] = _param_int(key, val)
         if "n" not in kv:
             raise ValueError("generator parameters need at least n")
@@ -294,7 +296,12 @@ def _parse_params(spec, seed):
 
 
 def _bench_trial(params: GenParams, t: int):
-    """One bench trial's case, rows and singleton marginals; engine tables are not kept."""
+    """One bench trial's case, rows and singleton marginals.
+
+    Only one engine result is alive at a time: its counter and singleton
+    marginals are taken and the result is dropped before the SS storage
+    probe and before the next engine runs.
+    """
     net, evidence = random_case(params, t)
     comp = compile_structures(net, evidence)
     tseed = trial_params(params, t).seed
@@ -304,8 +311,10 @@ def _bench_trial(params: GenParams, t: int):
         tree = _natural_tree(comp, arch)
         with _naming_evidence(net, evidence, "trial %d: " % t):
             res = RUNNERS[arch](tree, comp.potentials)
-        stor = storage_report(arch, tree, net, evidence)
         c = res.counter
+        marginals[arch] = res.singleton_marginals
+        del res
+        stor = storage_report(arch, tree, net, evidence)
         rows.append(
             {
                 "trial": t,
@@ -332,7 +341,6 @@ def _bench_trial(params: GenParams, t: int):
                 "peak_fpn": peak_working_memory(arch, tree),
             }
         )
-        marginals[arch] = res.singleton_marginals
     return net, evidence, rows, marginals
 
 

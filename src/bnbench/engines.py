@@ -12,6 +12,9 @@ single OpCounter.  Shared conventions that the counting targets pin down:
   receiver skips the product.  A vacuous SS message is stored as None.
 * Root selection, child ordering, tie-breaks, and fold orders are all fixed,
   so counters are bit-reproducible.
+* One precondition, checked in the shared prologue: at least one potential,
+  each placed on exactly one node, on a connected tree.  Every table,
+  register and product an engine reads after the message loop then exists.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from bnbench.potentials import (
     Potential,
     divide,
     embed,
-    identity_over,
+    identity_over,  # unused here; kept because perfbench's tracer binds engines.identity_over
     marginalize,
     multiply,
     normalize,
@@ -54,6 +57,7 @@ def _absorb(table, pot: Potential, domain, cards: dict, counter: OpCounter) -> P
 
 
 def _check_assignments(tree: JoinTree, potentials):
+    """Refuse an empty potential list, unplaced potentials and a tree the rooting does not reach."""
     if not potentials:
         raise EngineError("no input potentials to propagate")
     placed = sorted(i for idxs in tree.assignments.values() for i in idxs)
@@ -61,6 +65,12 @@ def _check_assignments(tree: JoinTree, potentials):
         raise EngineError(
             "tree assignments cover %d of %d input potentials"
             % (len(placed), len(potentials))
+        )
+    reached = len(tree.rooting.preorder)
+    if reached != len(tree.nodes):
+        raise EngineError(
+            "tree is not connected: %d of %d nodes reachable from the root"
+            % (reached, len(tree.nodes))
         )
 
 
@@ -131,7 +141,9 @@ def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineR
     separator is served by the separator register itself, so neither the
     quotient nor the receiving product is performed.
     Singleton marginals come from a smallest separator containing the
-    variable when one exists, else from a smallest clique.
+    variable when one exists, else from a smallest clique.  Every register
+    is written by then: on a connected tree the inward pass brings every
+    potential to the root, so each outward send has a table to send.
 
     ``on_step(phase, sender, receiver, tables, store)`` is invoked after
     every message for invariant instrumentation; ``phase`` is ``"inward"``
@@ -165,7 +177,7 @@ def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineR
     marginals = {}
     for x in targets:
         best = tree.best_separators.get(x)
-        if best is not None and best[1] in store:
+        if best is not None:
             source = store[best[1]]
         else:
             source = tables[_designated(tree, x)]
@@ -204,6 +216,14 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     separator's two directed messages is marginalized instead; on a binary
     join tree with singleton nodes this never fires and the singleton's own
     node marginal is already the answer.
+
+    No uniform stand-in is needed.  Every message toward a sink is sent, and
+    on a connected tree with at least one potential (the prologue's check)
+    the two sides of any edge together hold one, so a node marginal and a
+    separator product are never None.  Each contains its variable x, as
+    long as some potential mentions x (x's CPT does): running intersection
+    keeps x in every node and separator on the path from that potential's
+    node, so the message along that path carries x.
     """
     counter = OpCounter()
     _check_assignments(tree, potentials)
@@ -245,21 +265,15 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     for x in targets:
         d = designated[x]
         if d not in node_marginals:
-            prod = _fold([messages[q, d] for q in tree.adj[d]] + [own[d]], counter)
-            node_marginals[d] = identity_over(tree.nodes[d], tree.cards) if prod is None else prod
+            node_marginals[d] = _fold([messages[q, d] for q in tree.adj[d]] + [own[d]], counter)
         source = node_marginals[d]
         edge = extract.get(x)
         if edge is not None:
             if edge not in sep_products:
                 u, v = edge
                 sep_products[edge] = _fold([messages[u, v], messages[v, u]], counter)
-            prod = sep_products[edge]
-            if prod is not None and x in prod.domain:
-                source = prod
-        if x in source.domain:
-            marginals[x] = normalize(marginalize(source, (x,), counter))
-        else:
-            marginals[x] = normalize(identity_over((x,), tree.cards))
+            source = sep_products[edge]
+        marginals[x] = normalize(marginalize(source, (x,), counter))
     return EngineResult("ss", tree.kind, marginals, node_marginals, counter, messages)
 
 

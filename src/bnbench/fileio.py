@@ -121,6 +121,9 @@ def network_from_dict(doc: dict):
         if (index[p], index[c]) in arcs:
             raise NetworkError("duplicate arc %r -> %r" % (p, c))
         arcs[index[p], index[c]] = None
+    for name in cpts_raw:
+        if name not in index:
+            raise NetworkError("CPT for unknown variable %r" % name)
     parents = {i: [] for i in index.values()}
     for p, c in arcs:
         parents[c].append(p)

@@ -90,8 +90,8 @@ def make_potential(domain: Sequence[Variable], values) -> Potential:
 def identity_over(domain: Sequence[int], cards: dict) -> Potential:
     """All-ones potential from raw variable ids and a cardinality map.
 
-    A plain table like any other: Shenoy-Shafer uses it as the uniform
-    stand-in for a node or variable that receives nothing.
+    A plain table like any other.  No engine uses it: on a connected tree
+    with at least one potential, every product an engine reads exists.
     """
     dom = tuple(domain)
     return Potential(dom, np.ones(tuple(cards[v] for v in dom)))

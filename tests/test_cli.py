@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -248,10 +249,14 @@ class TestInputErrors:
                 lambda doc: doc["evidence"].update(A=[[1, 0]]),
                 "evidence vector on 'A' has shape (1, 2), expected (2,)",
             ),
+            (
+                lambda doc: doc["cpts"].update(Z=[1]),
+                "CPT for unknown variable 'Z'",
+            ),
         ],
         ids=[
             "no-name", "list-name", "string-states", "variables-not-list", "one-name-arc",
-            "cpts-not-object", "evidence-not-object", "nested-evidence",
+            "cpts-not-object", "evidence-not-object", "nested-evidence", "unknown-cpt",
         ],
     )
     def test_malformed_file_names_what_is_wrong(self, chest_file, tmp_path, capsys, edit, message):
@@ -325,6 +330,38 @@ class TestBench:
         ]
         assert main(argv) == 0
         assert "oracle check: 0 failures" in capsys.readouterr().out
+
+    def test_one_engine_result_alive_at_a_time(self, monkeypatch, capsys):
+        argv = ["bench", "--params", "6,5,2,3,2", "--trials", "2", "--seed", "9"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        results = []  # weak references to every engine result returned so far
+        alive_at = []  # (where, index into results) of each earlier result still alive
+
+        def check(where):
+            alive_at.extend((where, i) for i, ref in enumerate(results) if ref() is not None)
+
+        def watched(run):
+            def wrapper(*args):
+                check("engine start")
+                res = run(*args)
+                results.append(weakref.ref(res))
+                return res
+
+            return wrapper
+
+        storage_report = cli.storage_report
+
+        def probe(*args):
+            check("storage probe")
+            return storage_report(*args)
+
+        monkeypatch.setattr(cli, "RUNNERS", {a: watched(run) for a, run in cli.RUNNERS.items()})
+        monkeypatch.setattr(cli, "storage_report", probe)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert len(results) == 6
+        assert alive_at == []
 
     def test_verify_oracle_reuses_the_trial_run(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -409,6 +446,11 @@ class TestBench:
     def test_non_integer_param_is_named(self, capsys, spec, key):
         assert main(["bench", "--params", spec, "--trials", "1"]) == 2
         assert "generator parameter %r is not an integer" % key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,key", [("n=8,n=9", "n"), ("n=8,c2=2, c2=3", "c2")])
+    def test_repeated_param_is_named(self, capsys, spec, key):
+        assert main(["bench", "--params", spec, "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: generator parameter %r listed twice\n" % key
 
     @pytest.mark.parametrize(
         "spec,message",

@@ -315,45 +315,19 @@ def _binary_chain(n, seed):
     return BayesNet(variables, [(i, i + 1) for i in range(n - 1)], cpts)
 
 
-def _forward_backward(net, evidence):
-    """Singleton posteriors of a binary chain by scaled forward-backward recursions."""
-    n = net.n
-    lik = [np.asarray(evidence.get(i, np.ones(2)), dtype=float) for i in range(n)]
-    trans = [None] + [net.cpts[i].values for i in range(1, n)]  # [parent state, child state]
-    alpha = [None] * n
-    a = net.cpts[0].values * lik[0]
-    alpha[0] = a / a.sum()
-    for i in range(1, n):
-        a = (alpha[i - 1] @ trans[i]) * lik[i]
-        alpha[i] = a / a.sum()
-    beta = [None] * n
-    beta[n - 1] = np.ones(2)
-    for i in range(n - 2, -1, -1):
-        b = trans[i + 1] @ (lik[i + 1] * beta[i + 1])
-        beta[i] = b / b.sum()
-    post = {}
-    for i in range(n):
-        p = alpha[i] * beta[i]
-        post[i] = p / p.sum()
-    return post
-
-
 class TestChainOracle:
-    """All three engines against a forward-backward oracle, past the brute-force cap."""
+    """All three engines on binary chains, past the brute-force cap.
 
-    def test_oracle_matches_the_joint_on_a_short_chain(self):
-        net = _binary_chain(12, seed=12)
-        evidence = {0: np.array([0.3, 0.9]), 5: np.array([1.0, 0.0]), 11: np.array([0.2, 0.4])}
-        brute = oracle_marginals(net, evidence)
-        chain = _forward_backward(net, evidence)
-        assert max(float(np.abs(chain[x] - brute[x]).max()) for x in brute) <= 1e-12
+    A chain is a tree-shaped network whose parents have lower ids, so
+    ``_tree_passes`` is its oracle.
+    """
 
     @pytest.mark.parametrize("n", [200, 400])
     def test_evidence_on_every_17th_node(self, n):
         net = _binary_chain(n, seed=n)
         rng = np.random.default_rng(n + 1)
         evidence = {i: rng.uniform(0.05, 1.0, size=2) for i in range(0, n, 17)}
-        oracle = _forward_backward(net, evidence)
+        oracle = _tree_passes(net, evidence)
         for arch, res in run_all(net, evidence).items():
             assert _worst(res, oracle) <= 1e-9, arch
 
@@ -366,7 +340,7 @@ class TestChainOracle:
         n = 400
         net = _binary_chain(n, seed=n)
         evidence = {i: np.array([1e-3, 1e-3]) for i in range(n)}
-        oracle = _forward_backward(net, evidence)
+        oracle = _tree_passes(net, evidence)
         for arch, res in run_all(net, evidence).items():
             assert _worst(res, oracle) <= 1e-9, arch
 
@@ -428,12 +402,21 @@ def _tree_passes(net, evidence):
 class TestTreeOracle:
     """All three engines against scaled upward/downward passes on tree-shaped networks."""
 
-    @pytest.mark.parametrize("n", [2, 7, 12])
-    def test_oracle_matches_the_joint(self, n):
-        net = _random_tree_net(n, seed=n)
-        evidence = {0: np.array([0.3] + [0.9] * (net.cards[0] - 1)), n - 1: np.eye(net.cards[n - 1])[1]}
-        if n > 4:
-            evidence[n // 2] = np.linspace(0.2, 1.0, net.cards[n // 2])
+    @pytest.mark.parametrize(
+        "n,chain", [(2, False), (7, False), (12, False), (12, True)], ids=["2", "7", "12", "chain-12"]
+    )
+    def test_oracle_matches_the_joint(self, n, chain):
+        if chain:
+            net = _binary_chain(n, seed=n)
+            evidence = {0: np.array([0.3, 0.9]), 5: np.array([1.0, 0.0]), 11: np.array([0.2, 0.4])}
+        else:
+            net = _random_tree_net(n, seed=n)
+            evidence = {
+                0: np.array([0.3] + [0.9] * (net.cards[0] - 1)),
+                n - 1: np.eye(net.cards[n - 1])[1],
+            }
+            if n > 4:
+                evidence[n // 2] = np.linspace(0.2, 1.0, net.cards[n // 2])
         brute = oracle_marginals(net, evidence)
         tree = _tree_passes(net, evidence)
         assert max(float(np.abs(tree[x] - brute[x]).max()) for x in brute) <= 1e-12
@@ -609,6 +592,24 @@ class TestErrors:
         for run in (ls_run, hugin_run, ss_run):
             with pytest.raises(EngineError, match="no input potentials"):
                 run(bare, [])
+
+    def test_disconnected_tree_rejected(self):
+        # nodes 0 and 1 are joined, nodes 2 and 3 stand alone; node 3's
+        # potential gives variable 2 the marginal [0.95, 0.05]
+        tree = JoinTree(
+            "junction",
+            {0: (0, 1), 1: (1,), 2: (2,), 3: (2, 3)},
+            {0: [1], 1: [0], 2: [], 3: []},
+            {0: 2, 1: 2, 2: 2, 3: 2},
+        )
+        tree.assignments = {0: [0], 3: [1]}
+        pots = [
+            from_values((0, 1), (2, 2), [0.2, 0.3, 0.4, 0.1]),
+            from_values((2, 3), (2, 2), [0.9, 0.05, 0.03, 0.02]),
+        ]
+        for run in (ls_run, hugin_run, ss_run):
+            with pytest.raises(EngineError, match="^tree is not connected: 2 of 4 nodes reachable"):
+                run(tree, pots)
 
     def test_unknown_target_rejected(self, chest_comp):
         with pytest.raises(EngineError):
