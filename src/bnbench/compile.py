@@ -55,6 +55,14 @@ class JoinTree:
     ``best_separators``) is computed on first use and kept for the life of
     the tree.  Code that edits a tree's structure must build a new JoinTree
     instead.
+
+    ``plans`` holds the engines' propagation plans (see
+    :mod:`bnbench.engines`), built on a tree's first run: one for LS and
+    Hugin together, keyed on the domains of the potentials, and one for SS,
+    keyed on the targets and those domains.  Each is kept with the
+    ``assignments`` it was built for.  A run whose key or assignments differ
+    builds a new plan in place of the old one, and
+    :func:`assign_potentials` drops every plan.
     """
 
     kind: str
@@ -62,6 +70,7 @@ class JoinTree:
     adj: dict
     cards: dict
     assignments: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def edges(self):
         out = []
@@ -195,10 +204,11 @@ def elimination_order(graph: dict, cards: dict) -> list:
     """Greedy min-fill order; ties by resulting clique state space, then id.
 
     Each live vertex's key ``(fill, space, v)`` sits in a heap.  Eliminating
-    v changes only the neighborhoods of v's neighbors and the edges among
-    their neighbors, so only those keys are recomputed; superseded heap
-    entries are skipped when popped.  Keys are unique by v, so the heap's
-    minimum is the vertex a full scan would pick.
+    v changes the neighborhoods of v's neighbors only, and among the other
+    vertices it changes the fill of those adjacent to both ends of a new
+    fill edge, which is no longer missing for them; only those keys are
+    recomputed.  Superseded heap entries are skipped when popped.  Keys are
+    unique by v, so the heap's minimum is the vertex a full scan would pick.
     """
     adj = {v: set(nbrs) for v, nbrs in graph.items()}
 
@@ -223,13 +233,15 @@ def elimination_order(graph: dict, cards: dict) -> list:
         del current[v]
         order.append(v)
         nbrs = adj.pop(v)
+        fill = []
         for a in nbrs:
             adj[a].discard(v)
+            fill.extend((a, b) for b in nbrs - adj[a] if a < b)
             adj[a] |= nbrs
             adj[a].discard(a)
         touched = set(nbrs)
-        for a in nbrs:
-            touched |= adj[a]
+        for a, b in fill:
+            touched |= adj[a] & adj[b]
         for u in touched:
             k = key(u)
             if current[u] != k:
@@ -398,7 +410,11 @@ def junction_tree(bjt: JoinTree) -> JoinTree:
 
 
 def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
-    """Attach each potential to the smallest containing node (ties: lowest id)."""
+    """Attach each potential to the smallest containing node (ties: lowest id).
+
+    Drops the tree's propagation plans, which were built for the old
+    assignments.
+    """
     holders, spaces = tree.holders, tree.spaces
     assignments = {}
     for i, pot in enumerate(potentials):
@@ -409,6 +425,7 @@ def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
             raise CompileError("potential domain %r fits no tree node" % (pot.domain,))
         assignments.setdefault(min(hosts, key=lambda n: (spaces[n], n)), []).append(i)
     tree.assignments = assignments
+    tree.plans.clear()
     return tree
 
 

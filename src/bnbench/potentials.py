@@ -8,10 +8,18 @@ Every arithmetic operation takes an OpCounter and charges it in binary-op
 units: one multiplication per output cell for combination, one addition per
 collapsed cell for marginalization, one division per numerator cell for
 division.  Normalization is deliberately uncounted.
+
+``multiply``, ``marginalize``, ``divide`` and ``embed`` each take an optional
+plan, made by ``multiply_plan``, ``marginalize_plan``, ``divide_plan`` or
+``embed_plan`` from domains and cardinalities alone: the result domain and
+the transpose, reshape or sum axes.  A kernel given no plan computes it with
+the same function, so there is one arithmetic path; the engines build each
+plan once per tree and pass it on every run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -77,12 +85,12 @@ def make_potential(domain: Sequence[Variable], values) -> Potential:
         raise PotentialError("duplicate variable in domain %r" % (ids,))
     cards = tuple(v.cardinality for v in domain)
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    expected = int(np.prod(cards)) if cards else 1
+    expected = math.prod(cards)
     if arr.size != expected:
         raise PotentialError(
             "values length %d does not match domain size %d" % (arr.size, expected)
         )
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise PotentialError("negative value in potential")
     return Potential(ids, arr.reshape(cards))
 
@@ -97,69 +105,144 @@ def identity_over(domain: Sequence[int], cards: dict) -> Potential:
     return Potential(dom, np.ones(tuple(cards[v] for v in dom)))
 
 
-def embed(pot: Potential, domain: Sequence[int], cards: dict) -> Potential:
+def _cards(*pots: Potential) -> dict:
+    """Variable id -> cardinality, read off the operands' shapes."""
+    cards = {}
+    for pot in pots:
+        cards.update(zip(pot.domain, pot.values.shape))
+    return cards
+
+
+def _expand_plan(dom: tuple, out_domain: tuple, cards: dict):
+    """How a table over ``dom`` is viewed to broadcast over ``out_domain``.
+
+    ``(perm, shape)``: the axis order to transpose to, ``None`` when the
+    domain already follows ``out_domain``'s order, and the reshape that
+    puts a length-1 axis at every variable the table lacks, ``None`` when
+    the domains are equal.
+    """
+    if dom == out_domain:
+        return None, None
+    k = len(dom)
+    if out_domain[:k] == dom:
+        return None, tuple(map(cards.__getitem__, dom)) + (1,) * (len(out_domain) - k)
+    shape = [1] * len(out_domain)
+    pos = []
+    for v in dom:
+        p = out_domain.index(v)
+        shape[p] = cards[v]
+        pos.append(p)
+    perm = None if pos == sorted(pos) else tuple(sorted(range(k), key=pos.__getitem__))
+    return perm, tuple(shape)
+
+
+def _view(arr: np.ndarray, perm, shape) -> np.ndarray:
+    """``arr`` viewed as an :func:`_expand_plan` plan says; never a copy."""
+    if perm is not None:
+        arr = arr.transpose(perm)
+    if shape is not None:
+        arr = arr.reshape(shape)
+    return arr
+
+
+def embed_plan(dom: tuple, domain: Sequence[int], cards: dict):
+    """Plan of :func:`embed` for a table over ``dom``: result domain and shape, and the view."""
+    out = tuple(domain)
+    if not set(dom) <= set(out):
+        raise PotentialError("cannot embed %r into %r" % (dom, out))
+    return (out, tuple(map(cards.__getitem__, out))) + _expand_plan(dom, out, cards)
+
+
+def embed(pot: Potential, domain: Sequence[int], cards: dict, plan=None) -> Potential:
     """Broadcast ``pot`` onto a superset ``domain`` without counting anything.
 
     Numerically a multiplication by ones; the engines use it to load the
     first factor into a node that has no table yet, which costs no
-    arithmetic.
+    arithmetic.  ``plan`` is ``embed_plan(pot.domain, domain, cards)``,
+    computed here when not given.
     """
-    dom = tuple(domain)
-    if not set(pot.domain) <= set(dom):
-        raise PotentialError("cannot embed %r into %r" % (pot.domain, dom))
-    out = np.empty(tuple(cards[v] for v in dom))
-    np.copyto(out, _expand(pot, dom))
+    if plan is None:
+        plan = embed_plan(pot.domain, domain, cards)
+    dom, shape, perm, view = plan
+    out = np.empty(shape)
+    np.copyto(out, _view(pot.values, perm, view))
     return Potential(dom, out)
 
 
-def _expand(pot: Potential, out_domain: tuple) -> np.ndarray:
-    """View of ``pot.values`` transposed/reshaped to broadcast over ``out_domain``."""
-    dom, arr = pot.domain, pot.values
-    k = len(dom)
-    if out_domain[:k] == dom:
-        return arr.reshape(arr.shape + (1,) * (len(out_domain) - k))
-    pos = [out_domain.index(v) for v in dom]
-    shape = [1] * len(out_domain)
-    for i, p in enumerate(pos):
-        shape[p] = arr.shape[i]
-    return arr.transpose(sorted(range(k), key=pos.__getitem__)).reshape(shape)
+def multiply_plan(a_dom: tuple, b_dom: tuple, cards: dict):
+    """Plan of :func:`multiply`: the union domain and the views of both operands.
+
+    The union lists a's variables first, so a is only ever reshaped, and
+    only when b brings new variables.
+    """
+    extra = tuple([v for v in b_dom if v not in a_dom])
+    dom = a_dom + extra
+    a_shape = tuple(map(cards.__getitem__, a_dom)) + (1,) * len(extra) if extra else None
+    return (dom, a_shape) + _expand_plan(b_dom, dom, cards)
 
 
-def union_domain(a: Potential, b: Potential) -> tuple:
-    return a.domain + tuple(v for v in b.domain if v not in a.domain)
+def multiply(a: Potential, b: Potential, counter: OpCounter, plan=None) -> Potential:
+    """Pointwise product on the union domain (a's variables first).
 
-
-def multiply(a: Potential, b: Potential, counter: OpCounter) -> Potential:
-    """Pointwise product on the union domain (a's variables first)."""
-    dom = union_domain(a, b)
-    out = _expand(a, dom) * _expand(b, dom)
+    ``plan`` is ``multiply_plan(a.domain, b.domain, cards)``, computed here
+    when not given.
+    """
+    if plan is None:
+        plan = multiply_plan(a.domain, b.domain, _cards(a, b))
+    dom, a_shape, b_perm, b_shape = plan
+    a_v = a.values if a_shape is None else a.values.reshape(a_shape)
+    out = a_v * _view(b.values, b_perm, b_shape)
     counter.mults += out.size
     return Potential(dom, out)
 
 
-def marginalize(a: Potential, keep: Iterable[int], counter: OpCounter) -> Potential:
-    """Sum out all variables not in ``keep``; result keeps a's relative order."""
+def marginalize_plan(dom: tuple, keep: Iterable[int]):
+    """Plan of :func:`marginalize`: the kept domain in ``dom``'s order and the summed axes."""
     keep = set(keep)
-    dom, axes = [], []
-    for i, v in enumerate(a.domain):
+    kept, axes = [], []
+    for i, v in enumerate(dom):
         if v in keep:
-            dom.append(v)
+            kept.append(v)
         else:
             axes.append(i)
-    if len(dom) != len(keep):
-        raise PotentialError("marginalization target %r not within %r" % (keep, a.domain))
+    if len(kept) != len(keep):
+        raise PotentialError("marginalization target %r not within %r" % (keep, dom))
+    return tuple(kept), tuple(axes)
+
+
+def marginalize(a: Potential, keep: Iterable[int], counter: OpCounter, plan=None) -> Potential:
+    """Sum out all variables not in ``keep``; result keeps a's relative order.
+
+    ``plan`` is ``marginalize_plan(a.domain, keep)``, computed here when not
+    given.
+    """
+    if plan is None:
+        plan = marginalize_plan(a.domain, keep)
+    dom, axes = plan
     if not axes:
         return Potential(a.domain, a.values)
-    out = a.values.sum(axis=tuple(axes))
-    counter.adds += a.size - out.size
+    out = a.values.sum(axis=axes)
+    counter.adds += a.values.size - out.size
     return Potential(dom, out)
 
 
-def divide(num: Potential, den: Potential, counter: OpCounter) -> Potential:
-    """Pointwise quotient with 0/0 := 0."""
-    if not set(den.domain) <= set(num.domain):
-        raise PotentialError("denominator domain %r exceeds numerator %r" % (den.domain, num.domain))
-    den_v = _expand(den, num.domain)
+def divide_plan(num_dom: tuple, den_dom: tuple, cards: dict):
+    """Plan of :func:`divide`: the result domain and the denominator's view over it."""
+    if not set(den_dom) <= set(num_dom):
+        raise PotentialError("denominator domain %r exceeds numerator %r" % (den_dom, num_dom))
+    return (num_dom,) + _expand_plan(den_dom, num_dom, cards)
+
+
+def divide(num: Potential, den: Potential, counter: OpCounter, plan=None) -> Potential:
+    """Pointwise quotient with 0/0 := 0.
+
+    ``plan`` is ``divide_plan(num.domain, den.domain, cards)``, computed
+    here when not given.
+    """
+    if plan is None:
+        plan = divide_plan(num.domain, den.domain, _cards(den))
+    dom, perm, shape = plan
+    den_v = _view(den.values, perm, shape)
     if den.values.all():
         out = np.empty_like(num.values)
         np.divide(num.values, den_v, out=out)
@@ -170,8 +253,8 @@ def divide(num: Potential, den: Potential, counter: OpCounter) -> Potential:
             raise InconsistencyError("positive value divided by zero")
         out = np.zeros_like(num.values)
         np.divide(num.values, den_b, out=out, where=~zero)
-    counter.divs += num.size
-    return Potential(num.domain, out)
+    counter.divs += num.values.size
+    return Potential(dom, out)
 
 
 def normalize(a: Potential) -> Potential:

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bnbench.compile import JoinTree, compile_structures
+from bnbench import storage
+from bnbench.compile import JoinTree, assign_potentials, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
 from bnbench.generate import GenParams, random_case
-from bnbench.network import BayesNet, joint_oracle, oracle_marginals
-from bnbench.potentials import PotentialError, Variable, make_potential, marginalize
+from bnbench.network import BayesNet, input_potentials, joint_oracle, oracle_marginals
+from bnbench.potentials import Potential, PotentialError, Variable, make_potential, marginalize
 from helpers import (
     MarkedIdentity,
     from_values,
@@ -278,6 +279,99 @@ class TestAbsentTablesMatchMarkedIdentities:
         comp = compile_structures(*random_case(LONG, 0))
         for tree in (comp.junction, comp.binary):
             _assert_ls_hugin_match_references(tree, comp.potentials, None)
+
+
+def _assert_all_match_references(tree, potentials, targets=None):
+    _assert_ls_hugin_match_references(tree, potentials, targets)
+    _assert_ss_matches_reference(tree, potentials, targets)
+
+
+class TestPlanReuse:
+    """Runs replay a tree's cached plan, bit for bit, and never a plan built for other inputs."""
+
+    def test_second_run_replays_the_first_runs_plan(self):
+        comp = compile_structures(*random_case(GenParams(n=8, c2=5, m=6, p=3, seed=0), 3))
+        for tree in (comp.junction, comp.binary):
+            _assert_all_match_references(tree, comp.potentials)
+            plans = dict(tree.plans)
+            assert sorted(plans) == ["ls/hugin", "ss"]
+            _assert_all_match_references(tree, comp.potentials)
+            assert all(tree.plans[kind] is plans[kind] for kind in plans)
+
+    def test_second_run_on_a_long_trial(self):
+        # each architecture on its natural tree, as bench runs it
+        comp = compile_structures(*random_case(LONG, 0))
+        for _ in range(2):
+            _assert_ls_hugin_match_references(comp.junction, comp.potentials, None)
+            _assert_ss_matches_reference(comp.binary, comp.potentials, None)
+
+    def test_storage_probe_replays_the_engine_plan(self, monkeypatch):
+        net, ev = random_case(LONG, 1)
+        comp = compile_structures(net, ev)
+        tree = comp.binary
+        _assert_ss_matches_reference(tree, comp.potentials, None)
+        plan = tree.plans["ss"]
+        probes = []
+
+        def probe(*args):
+            probes.append(ss_run(*args))
+            return probes[-1]
+
+        monkeypatch.setattr(storage, "ss_run", probe)
+        report = storage.storage_report("ss", tree, net, ev)
+        assert tree.plans["ss"] is plan
+        (got,) = probes
+        want = reference_ss_run(tree, comp.potentials)
+        assert got.counter.as_tuple() == want.counter.as_tuple()
+        _assert_same_tables(got.messages, want.messages)
+        _assert_same_tables(got.node_marginals, want.node_marginals)
+        _assert_same_tables(got.singleton_marginals, want.singleton_marginals)
+        assert report.separator_fpn == sum(m.size for m in want.messages.values() if m is not None)
+
+    def test_new_targets_build_a_new_ss_plan(self):
+        comp = compile_structures(*random_case(GenParams(n=30, c2=3, m=3, p=2, seed=3), 0))
+        for tree in (comp.binary, comp.junction):
+            for targets in (None, [7], [], [3, 15, 29], None):
+                _assert_all_match_references(tree, comp.potentials, targets)
+
+    def test_assign_potentials_drops_the_plans(self):
+        net, ev = random_case(GenParams(n=30, c2=3, m=3, p=2, seed=4), 0)
+        comp = compile_structures(net, ev)
+        others, _ = input_potentials(net, {})
+        assert len(others) < len(comp.potentials)
+        for tree in (comp.junction, comp.binary):
+            _assert_all_match_references(tree, comp.potentials)
+            assign_potentials(tree, others)
+            assert tree.plans == {}
+            _assert_all_match_references(tree, others)
+
+    def test_potentials_over_other_domains_build_a_new_plan(self):
+        comp = compile_structures(*random_case(GenParams(n=30, c2=3, m=3, p=2, seed=5), 0))
+        # the same tables with each multi-variable domain listed backwards
+        flipped = [Potential(p.domain[::-1], p.values.transpose()) for p in comp.potentials]
+        assert any(f.domain != p.domain for f, p in zip(flipped, comp.potentials))
+        for tree in (comp.junction, comp.binary):
+            _assert_all_match_references(tree, comp.potentials)
+            _assert_all_match_references(tree, flipped)
+            _assert_all_match_references(tree, comp.potentials)
+
+    def test_reassigned_tree_builds_a_new_plan(self):
+        comp = compile_structures(*random_case(GenParams(n=30, c2=3, m=3, p=2, seed=6), 0))
+        tree = comp.junction
+        _assert_all_match_references(tree, comp.potentials)
+        # move one potential to another node that holds its domain
+        moves = [
+            (i, n, m)
+            for n, idxs in tree.assignments.items()
+            for i in idxs
+            for m in tree.nodes
+            if m != n and set(comp.potentials[i].domain) <= set(tree.nodes[m])
+        ]
+        i, n, m = moves[0]
+        moved = {k: [j for j in idxs if j != i] for k, idxs in tree.assignments.items()}
+        moved.setdefault(m, []).append(i)
+        tree.assignments = {k: sorted(idxs) for k, idxs in moved.items() if idxs}
+        _assert_all_match_references(tree, comp.potentials)
 
 
 def _assert_architectures_agree(params, trial):

@@ -10,13 +10,18 @@ from bnbench.potentials import (
     PotentialError,
     Variable,
     ZeroMassError,
-    _expand,
+    _expand_plan,
+    _view,
     divide,
+    divide_plan,
     embed,
+    embed_plan,
     identity_over,
     make_potential,
     marginalize,
+    marginalize_plan,
     multiply,
+    multiply_plan,
     normalize,
 )
 from helpers import (
@@ -335,7 +340,8 @@ class TestTrimmedKernelsMatchReferences:
     def test_expand_and_embed(self, case, fortran):
         cards, outer, inner, seed = case
         pot = Potential(inner, _layout(_table(np.random.default_rng(seed), inner, cards), fortran))
-        got, want = _expand(pot, outer), reference_expand(pot, outer)
+        got = _view(pot.values, *_expand_plan(pot.domain, outer, cards))
+        want = reference_expand(pot, outer)
         assert (got.shape, got.strides) == (want.shape, want.strides)
         assert np.array_equal(got, want)
         got, want = embed(pot, outer, cards), reference_embed(pot, outer, cards)
@@ -399,6 +405,80 @@ class TestTrimmedKernelsMatchReferences:
             divide(num, den, OpCounter())
 
 
+@st.composite
+def two_domains(draw):
+    """Cardinalities and two domains over five variables, each in random order, either empty."""
+    cards = {v: draw(st.integers(2, 4)) for v in range(5)}
+    a = tuple(draw(st.permutations(range(5)))[: draw(st.integers(0, 5))])
+    b = tuple(draw(st.permutations(range(5)))[: draw(st.integers(0, 5))])
+    return cards, a, b, draw(st.integers(0, 2**32 - 1))
+
+
+def _same(got, want, c_got=None, c_want=None):
+    assert got.domain == want.domain
+    assert got.values.strides == want.values.strides
+    assert np.array_equal(got.values, want.values)
+    if c_got is not None:
+        assert c_got.as_tuple() == c_want.as_tuple()
+
+
+class TestPlannedKernelsMatchUnplanned:
+    """A plan built from domains and cardinalities alone, replayed on new tables, changes no bit.
+
+    Each plan is built once and then replayed on two tables of the same
+    domains, as an engine's plan is on every run of a tree.
+    """
+
+    @given(two_domains(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_multiply(self, case, fortran):
+        cards, a_dom, b_dom, seed = case
+        rng = np.random.default_rng(seed)
+        plan = multiply_plan(a_dom, b_dom, cards)
+        for _ in range(2):
+            a = Potential(a_dom, _layout(_table(rng, a_dom, cards), fortran))
+            b = Potential(b_dom, _table(rng, b_dom, cards))
+            c_got, c_want = OpCounter(), OpCounter()
+            _same(multiply(a, b, c_got, plan), multiply(a, b, c_want), c_got, c_want)
+
+    @given(nested_domains(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_marginalize_and_embed(self, case, fortran):
+        cards, outer, inner, seed = case
+        rng = np.random.default_rng(seed)
+        marg = marginalize_plan(outer, inner)
+        load = embed_plan(inner, outer, cards)
+        for _ in range(2):
+            a = Potential(outer, _layout(_table(rng, outer, cards), fortran))
+            c_got, c_want = OpCounter(), OpCounter()
+            _same(marginalize(a, inner, c_got, marg), marginalize(a, inner, c_want), c_got, c_want)
+            b = Potential(inner, _layout(_table(rng, inner, cards), fortran))
+            _same(embed(b, outer, cards, load), embed(b, outer, cards))
+
+    @given(nested_domains(), st.sampled_from([0.0, 0.4]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_divide(self, case, zeros, fortran):
+        cards, outer, inner, seed = case
+        rng = np.random.default_rng(seed)
+        plan = divide_plan(outer, inner, cards)
+        for _ in range(2):
+            den = Potential(inner, _table(rng, inner, cards, zeros))
+            num = np.broadcast_to(reference_expand(den, outer), tuple(cards[v] for v in outer))
+            # zero the numerator wherever the denominator is zero: 0/0 cells only
+            num = Potential(outer, _layout(np.where(num == 0.0, 0.0, _table(rng, outer, cards)), fortran))
+            c_got, c_want = OpCounter(), OpCounter()
+            _same(divide(num, den, c_got, plan), divide(num, den, c_want), c_got, c_want)
+
+    def test_plans_check_their_domains(self):
+        cards = {0: 2, 1: 3}
+        with pytest.raises(PotentialError):
+            marginalize_plan((0,), (1,))
+        with pytest.raises(PotentialError):
+            divide_plan((0,), (0, 1), cards)
+        with pytest.raises(PotentialError):
+            embed_plan((0, 1), (1,), cards)
+
+
 class TestVariable:
     def test_cardinality_floor(self):
         with pytest.raises(ValueError):
@@ -407,3 +487,13 @@ class TestVariable:
     def test_make_potential_rejects_bad_shape(self):
         with pytest.raises(PotentialError):
             make_potential([A, B], [1.0, 2.0, 3.0])
+
+    def test_make_potential_checks(self):
+        scalar = make_potential([], [0.5])
+        assert scalar.domain == () and scalar.values.shape == ()
+        with pytest.raises(PotentialError, match="^values length 1 does not match domain size 2$"):
+            make_potential([A], [1.0])
+        with pytest.raises(PotentialError, match="^negative value in potential$"):
+            make_potential([A, B], [0.5, 0.5, -0.1, 1.1])
+        with pytest.raises(PotentialError, match="^duplicate variable"):
+            make_potential([A, A], [1.0] * 4)
