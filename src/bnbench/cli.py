@@ -410,7 +410,8 @@ def summarize_rows(rows: list, div_weight: float) -> list:
             totals = per.get(arch)
             entry["means"][arch] = sum(totals) / len(totals) if totals else None
         mh, ms = entry["means"]["hugin"], entry["means"]["ss"]
-        entry["ratio"] = (mh / ms - 1.0) if mh and ms else None
+        # a Hugin mean of 0 gives -1; only a missing or zero SS mean leaves no ratio
+        entry["ratio"] = (mh / ms - 1.0) if mh is not None and ms else None
         out.append(entry)
     return out
 

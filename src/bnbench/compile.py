@@ -56,13 +56,13 @@ class JoinTree:
     the tree.  Code that edits a tree's structure must build a new JoinTree
     instead.
 
-    ``plans`` holds the engines' propagation plans (see
-    :mod:`bnbench.engines`), built on a tree's first run: one for LS and
-    Hugin together, keyed on the domains of the potentials, and one for SS,
-    keyed on the targets and those domains.  Each is kept with the
-    ``assignments`` it was built for.  A run whose key or assignments differ
-    builds a new plan in place of the old one, and
-    :func:`assign_potentials` drops every plan.
+    ``plans`` holds the engines' propagation plans, each a flat step list
+    over numbered slots (see :mod:`bnbench.engines`), built on a tree's
+    first run: the LS and the Hugin plan, built together and keyed on the
+    domains of the potentials, and the SS plan, keyed on the targets and
+    those domains.  Each is kept with the ``assignments`` it was built for.
+    A run whose key or assignments differ builds a new plan in place of the
+    old one, and :func:`assign_potentials` drops every plan.
     """
 
     kind: str

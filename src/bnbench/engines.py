@@ -18,17 +18,19 @@ single OpCounter.  Shared conventions that the counting targets pin down:
 
 Every domain an engine meets follows from the tree, its assignments and
 the domains of the potentials, never from their values.  So each run
-replays a propagation plan: the steps to take and every kernel's plan
-(``multiply_plan``, ``marginalize_plan``, ``divide_plan``, ``embed_plan``),
-built on a tree's first run and kept in ``JoinTree.plans`` with the
-assignments it was built for.  LS and Hugin share one plan, keyed on the
-potentials' domains: each directed edge's separator and kernel plans, each
-node's initial loads, and each variable's extraction.  SS has its own,
-keyed on the targets and the potentials' domains: its demanded sends with
-their non-vacuous inputs, the products they fold, and a marginalization
-only where the product reaches beyond the separator.  A plan holds no
-numbers, so every counted operation is still performed and charged on
-every run.  :func:`bnbench.compile.assign_potentials` drops a tree's plans.
+executes a plan (:class:`_Plan`): a flat list of steps over numbered
+slots, each an op kind (embed, multiply, marginalize, divide or copy), its
+output and operand slots and its kernel plan (``multiply_plan``,
+``marginalize_plan``, ``divide_plan`` or ``embed_plan``), plus the slots
+where node tables and messages end and each variable's extraction step.
+The three architectures differ only in the steps their builders emit; one
+executor, :func:`_execute`, runs them all and is the only caller of the
+counted kernels.  Plans are built on a tree's first run and kept in
+``JoinTree.plans`` with the assignments they were built for.  LS and Hugin
+come from one build, keyed on the potentials' domains; SS has its own,
+keyed on the targets and those domains.  A plan holds no numbers, so every
+counted operation is still performed and charged on every run.
+:func:`bnbench.compile.assign_potentials` drops a tree's plans.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from bnbench.compile import JoinTree, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.network import BayesNet
 from bnbench.potentials import (
-    Potential,
     divide,
     divide_plan,
     embed,
@@ -98,12 +99,14 @@ def _designated(tree: JoinTree, x: int) -> int:
 
 
 def _targets(tree: JoinTree, targets):
-    if targets is None:
-        return sorted(tree.cards)
-    return sorted(set(targets))
+    """The targets in ascending order, every variable by default; each must lie in a node."""
+    targets = sorted(tree.cards) if targets is None else sorted(set(targets))
+    for x in targets:
+        _designated(tree, x)
+    return targets
 
 
-def _plan(tree: JoinTree, kind: str, key, build):
+def _cached(tree: JoinTree, kind: str, key, build):
     """The tree's ``kind`` plan for ``key`` and its current assignments; built when it has none."""
     entry = tree.plans.get(kind)
     if entry is None or entry[1] is not tree.assignments or entry[0] != key:
@@ -111,128 +114,138 @@ def _plan(tree: JoinTree, kind: str, key, build):
     return entry[2]
 
 
-def _fold_plan(parts, cards: dict):
-    """Fold ``parts``, ``(key, domain)`` pairs, in list order.
-
-    Returns the first key, the ``(key, multiply plan)`` of every later
-    part, and the domain of the product.
-    """
-    first, dom = parts[0]
-    rest = []
-    for k, d in parts[1:]:
-        plan = multiply_plan(dom, d, cards)
-        rest.append((k, plan))
-        dom = plan[0]
-    return first, tuple(rest), dom
+# Step kinds.  A step ``(kind, out, a, b, kernel plan)`` sets slot ``out``
+# to a * b, to a marginalized, to a / b, to b loaded into a table over the
+# kernel plan's domain (embed), or to a itself (copy).
+_EMBED, _MULTIPLY, _MARGINALIZE, _DIVIDE, _COPY = range(5)
 
 
-def _fold(source, first, rest, counter: OpCounter):
-    """Replay a :func:`_fold_plan` fold over the tables ``source`` holds."""
-    prod = source[first]
-    for k, plan in rest:
-        prod = multiply(prod, source[k], counter, plan)
-    return prod
+class _Plan(NamedTuple):
+    """The steps of one run over numbered slots, and where its results end.
 
-
-class _Send(NamedTuple):
-    """One directed edge of an LS or Hugin run whose sender has a table, with its kernel plans.
-
-    Which node has a table at each send, and which Hugin register is
-    written, follows from the assignments alone, so the plan holds the
-    one plan each step needs and None for a step not taken.
+    Slots ``0..k-1`` hold the k input potentials and slot k each target's
+    extracted marginal in turn; every other slot starts empty.  ``nodes``:
+    node -> slot of its table or marginal.  ``messages``: message or Hugin
+    register key -> slot, None for a vacuous SS message.  ``extract``:
+    variable -> the step marginalizing its source onto it.  ``marks``:
+    ``(phase, sender, receiver, steps done)`` after each Hugin send.
     """
 
-    sender: int
-    receiver: int
-    key: tuple  # the undirected edge, lower id first: Hugin's register
-    inward: bool  # the receiver is the sender's parent
-    served: bool  # Hugin: an outward send to a leaf equal to its non-singleton separator
-    separator: tuple
-    marginalize: tuple  # the sender's table onto the separator
-    embed: tuple  # the message loaded into a receiver with no table yet, else None
-    multiply: tuple  # the receiver's table times the message, else None
-    divide_sender: tuple  # LS, inward: the sender's table by the message
-    divide_register: tuple  # Hugin: the message by the register's last one, if written
+    size: int
+    steps: list
+    nodes: dict
+    messages: dict
+    extract: dict
+    marks: list
 
 
-class _TablePlan(NamedTuple):
-    """Plan of LS and Hugin on one tree.
+def _execute(steps, vals: list, counter: OpCounter):
+    """Run ``steps`` over the slots ``vals``; each kernel is looked up by name at its call."""
+    for kind, out, a, b, plan in steps:
+        if kind == _MULTIPLY:
+            vals[out] = multiply(vals[a], vals[b], counter, plan)
+        elif kind == _MARGINALIZE:
+            vals[out] = marginalize(vals[a], plan[0], counter, plan)
+        elif kind == _DIVIDE:
+            vals[out] = divide(vals[a], vals[b], counter, plan)
+        elif kind == _EMBED:
+            vals[out] = embed(vals[b], plan[0], None, plan)
+        else:
+            vals[out] = vals[a]
 
-    ``init`` lists ``(node, first potential, embed plan, [(potential,
-    multiply plan)])``; ``node_extract`` and ``sep_extract`` map each
-    variable to the plan marginalizing its designated node, and its best
-    separator when it has one, onto it.
+
+def _run(arch: str, tree: JoinTree, potentials, targets, plan: _Plan, on_step=None) -> EngineResult:
+    """Execute ``plan`` on ``potentials``, then extract and normalize each target's marginal.
+
+    With ``on_step``, the steps run in segments between the marks, and the
+    hook sees the node tables and registers held after each segment.
     """
+    counter = OpCounter()
+    vals = list(potentials) + [None] * (plan.size - len(potentials))
+    done = 0
+    if on_step is not None:
+        for phase, a, b, end in plan.marks:
+            _execute(plan.steps[done:end], vals, counter)
+            done = end
+            tables = {n: vals[s] for n, s in plan.nodes.items() if vals[s] is not None}
+            store = {e: vals[s] for e, s in plan.messages.items() if vals[s] is not None}
+            on_step(phase, a, b, tables, store)
+    _execute(plan.steps[done:], vals, counter)
+    marginals = {}
+    for x in targets:
+        step = plan.extract[x]
+        _execute((step,), vals, counter)
+        marginals[x] = normalize(vals[step[1]])
+    nodes = {n: vals[s] for n, s in plan.nodes.items()}
+    messages = {k: None if s is None else vals[s] for k, s in plan.messages.items()}
+    return EngineResult(arch, tree.kind, marginals, nodes, counter, messages)
 
-    init: list
-    sends: list
-    node_extract: dict
-    sep_extract: dict
 
-
-def _table_plan(tree: JoinTree, potentials) -> _TablePlan:
+def _table_plans(tree: JoinTree, potentials):
     key = tuple(p.domain for p in potentials)
-    return _plan(tree, "ls/hugin", key, lambda: _build_table_plan(tree, potentials))
+    return _cached(tree, "ls/hugin", key, lambda: _build_table_plans(tree, potentials))
 
 
-def _build_table_plan(tree: JoinTree, potentials) -> _TablePlan:
-    """Every LS and Hugin table spans its node's sorted domain, and every message its separator."""
-    nodes, cards = tree.nodes, tree.cards
-    init = []
+def _build_table_plans(tree: JoinTree, potentials):
+    """The LS and the Hugin plan of one tree, emitted in one pass over ``tree.sends``.
+
+    Every table spans its node's sorted domain and every message its
+    separator.  Which node has a table at each send, and which Hugin
+    register is written, follows from the assignments alone, so a silent
+    sender emits no step.  After the inputs and the extraction slot come
+    the message slot, Hugin's quotient slot, one table slot per node and
+    one register slot per edge.
+    """
+    nodes, cards, k = tree.nodes, tree.cards, len(potentials)
+    msg, quo = k + 1, k + 2
+    table = {n: k + 3 + i for i, n in enumerate(sorted(nodes))}
+    register = {e: k + 3 + len(nodes) + i for i, e in enumerate(tree.edges())}
+    init, has_table = [], set()
     for n in sorted(nodes):
         idxs = tree.assignments.get(n)
         if idxs:
-            load = embed_plan(potentials[idxs[0]].domain, nodes[n], cards)
-            rest = tuple((i, multiply_plan(nodes[n], potentials[i].domain, cards)) for i in idxs[1:])
-            init.append((n, idxs[0], load, rest))
-    has_table = {n for n, _, _, _ in init}
-    written = set()
+            has_table.add(n)
+            init.append((_EMBED, table[n], None, idxs[0], embed_plan(potentials[idxs[0]].domain, nodes[n], cards)))
+            for i in idxs[1:]:
+                init.append((_MULTIPLY, table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
+    ls, hugin, marks, written = list(init), init, [], set()
     parent = tree.rooting.parent
-    sends = []
     for a, b in tree.sends:
         if a not in has_table:
             continue  # a silent sender
         sep = tree.separator(a, b)
-        key = _edge_key(a, b)
+        e = _edge_key(a, b)
         inward = parent[a] == b
-        sends.append(_Send(
-            a, b, key, inward,
-            not inward and tree.degree(b) == 1 and nodes[b] == sep and len(sep) > 1,
-            sep,
-            marginalize_plan(nodes[a], sep),
-            None if b in has_table else embed_plan(sep, nodes[b], cards),
-            multiply_plan(nodes[b], sep, cards) if b in has_table else None,
-            divide_plan(nodes[a], sep, cards) if inward else None,
-            divide_plan(sep, sep, cards) if key in written else None,
-        ))
+        take = (_MARGINALIZE, msg, table[a], None, marginalize_plan(nodes[a], sep))
+        # the receiver folds the message in, or loads it when it has no table yet
+        if b in has_table:
+            absorb, into = _MULTIPLY, multiply_plan(nodes[b], sep, cards)
+        else:
+            absorb, into = _EMBED, embed_plan(sep, nodes[b], cards)
+        ls += (take, (absorb, table[b], table[b], msg, into))
+        if inward:
+            ls.append((_DIVIDE, table[a], table[a], msg, divide_plan(nodes[a], sep, cards)))
+        hugin.append(take)
+        if not inward and tree.degree(b) == 1 and nodes[b] == sep and len(sep) > 1:
+            hugin.append((_COPY, table[b], msg, None, None))  # a leaf served by the register
+        elif e in written:
+            hugin.append((_DIVIDE, quo, msg, register[e], divide_plan(sep, sep, cards)))
+            hugin.append((absorb, table[b], table[b], quo, into))
+        else:
+            hugin.append((absorb, table[b], table[b], msg, into))
+        hugin.append((_COPY, register[e], msg, None, None))
+        marks.append(("inward" if inward else "outward", a, b, len(hugin)))
         has_table.add(b)
-        written.add(key)
-    node_extract = {x: marginalize_plan(nodes[d], (x,)) for x, d in tree.designated.items()}
-    sep_extract = {
-        x: marginalize_plan(tree.separator(*edge), (x,))
-        for x, (_, edge) in tree.best_separators.items()
+        written.add(e)
+    node_extract = {
+        x: (_MARGINALIZE, k, table[d], None, marginalize_plan(nodes[d], (x,)))
+        for x, d in tree.designated.items()
     }
-    return _TablePlan(init, sends, node_extract, sep_extract)
-
-
-def _init_tables(tree: JoinTree, potentials, plan: _TablePlan, counter: OpCounter) -> dict:
-    """Tables of the nodes with assigned potentials; every other node has none yet."""
-    tables = {}
-    for n, first, load, rest in plan.init:
-        t = embed(potentials[first], tree.nodes[n], tree.cards, load)
-        for i, p in rest:
-            t = multiply(t, potentials[i], counter, p)
-        tables[n] = t
-    return tables
-
-
-def _absorb(tables: dict, msg: Potential, send: _Send, cards: dict, counter: OpCounter):
-    """Fold ``msg`` into the receiver's table: a free copy when it has none yet."""
-    b = send.receiver
-    if send.embed is not None:
-        tables[b] = embed(msg, send.embed[0], cards, send.embed)
-    else:
-        tables[b] = multiply(tables[b], msg, counter, send.multiply)
+    sep_extract = dict(node_extract)
+    for x, (_, edge) in tree.best_separators.items():
+        sep_extract[x] = (_MARGINALIZE, k, register[edge], None, marginalize_plan(tree.separator(*edge), (x,)))
+    size = k + 3 + len(nodes) + len(register)
+    return _Plan(size, ls, table, {}, node_extract, []), _Plan(size, hugin, table, register, sep_extract, marks)
 
 
 def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
@@ -244,24 +257,9 @@ def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     message; the outward sends divide nothing.
     Singleton marginals come from a smallest containing clique.
     """
-    counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
-    plan = _table_plan(tree, potentials)
-    tables = _init_tables(tree, potentials, plan, counter)
-
-    for s in plan.sends:
-        t = tables[s.sender]
-        msg = marginalize(t, s.separator, counter, s.marginalize)
-        _absorb(tables, msg, s, tree.cards, counter)
-        if s.inward:
-            tables[s.sender] = divide(t, msg, counter, s.divide_sender)
-
-    marginals = {}
-    for x in targets:
-        source = tables[_designated(tree, x)]
-        marginals[x] = normalize(marginalize(source, (x,), counter, plan.node_extract[x]))
-    return EngineResult("ls", tree.kind, marginals, tables, counter, {})
+    return _run("ls", tree, potentials, targets, _table_plans(tree, potentials)[0])
 
 
 def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineResult:
@@ -282,77 +280,41 @@ def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineR
     every message for invariant instrumentation; ``phase`` is ``"inward"``
     when the receiver is the sender's parent, else ``"outward"``.
     """
-    counter = OpCounter()
     _check_assignments(tree, potentials)
     targets = _targets(tree, targets)
-    plan = _table_plan(tree, potentials)
-    tables = _init_tables(tree, potentials, plan, counter)
-    store = {}
-
-    for s in plan.sends:
-        msg = marginalize(tables[s.sender], s.separator, counter, s.marginalize)
-        if s.served:
-            tables[s.receiver] = msg
-        elif s.divide_register is None:
-            _absorb(tables, msg, s, tree.cards, counter)
-        else:
-            _absorb(tables, divide(msg, store[s.key], counter, s.divide_register), s, tree.cards, counter)
-        store[s.key] = msg
-        if on_step is not None:
-            on_step("inward" if s.inward else "outward", s.sender, s.receiver, tables, store)
-
-    marginals = {}
-    for x in targets:
-        best = tree.best_separators.get(x)
-        if best is not None:
-            source, extract = store[best[1]], plan.sep_extract[x]
-        else:
-            source, extract = tables[_designated(tree, x)], plan.node_extract[x]
-        marginals[x] = normalize(marginalize(source, (x,), counter, extract))
-    return EngineResult("hugin", tree.kind, marginals, tables, counter, store)
+    return _run("hugin", tree, potentials, targets, _table_plans(tree, potentials)[1], on_step)
 
 
-class _SSPlan(NamedTuple):
-    """Plan of one SS run: folds as :func:`_fold_plan` gives them, in run order.
+def _fold(steps: list, parts, out: int, cards: dict):
+    """Append the steps folding ``parts``, ``(slot, domain)`` pairs, in order into slot ``out``.
 
-    ``own``: ``(node, first potential, rest)`` for every node holding
-    potentials.  ``sends``: ``(message, first input, rest, marginalize plan
-    or None)`` for every non-vacuous demanded message, whose inputs are
-    messages and own products keyed as in the run.  ``messages``: every
-    demanded message, in send order, vacuous ones included.  ``nodes`` and
-    ``seps``: designated node or extraction edge -> ``(first, rest, domain)``
-    of its product.  ``targets``: ``(x, designated node, extraction edge or
-    None, marginalize plan)``.
+    Returns the product's ``(slot, domain)``: the part's own when there is one part.
     """
-
-    own: list
-    sends: list
-    messages: list
-    nodes: dict
-    seps: dict
-    targets: list
-
-
-def _ss_plan(tree: JoinTree, potentials, targets) -> _SSPlan:
-    key = (tuple(targets), tuple(p.domain for p in potentials))
-    return _plan(tree, "ss", key, lambda: _build_ss_plan(tree, potentials, targets))
+    slot, dom = parts[0]
+    for s, d in parts[1:]:
+        plan = multiply_plan(dom, d, cards)
+        steps.append((_MULTIPLY, out, slot, s, plan))
+        slot, dom = out, plan[0]
+    return slot, dom
 
 
-def _build_ss_plan(tree: JoinTree, potentials, targets) -> _SSPlan:
-    """The demanded sends of :func:`ss_run` and the domain of everything it folds.
+def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
+    """The steps of :func:`ss_run` for ``targets``.
 
-    ``doms`` holds the domain of each own product (keyed by node) and of
-    each message (keyed by its directed edge); a vacuous message's is None.
+    ``held`` maps each own product (keyed by node) and each demanded
+    message (keyed by its directed edge) to its ``(slot, domain)``, or to
+    None for a vacuous message.  Each fold writes into a fresh slot, which
+    the message's marginalization then overwrites.
     """
     cards = tree.cards
     root, _, postorder, parent, _ = tree.rooting
     designated = {x: _designated(tree, x) for x in targets}
-    extract = {}
+    via = {}
     for x in targets:
         best = tree.best_separators.get(x)
         if best is not None and best[0] < tree.statespace(designated[x]):
-            extract[x] = best[1]
-    sinks = set(designated.values()).union(*extract.values())
+            via[x] = best[1]
+    sinks = set(designated.values()).union(*via.values())
     below = dict.fromkeys(postorder, 0)
     for n in sinks:
         below[n] = 1
@@ -360,68 +322,63 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _SSPlan:
         if n != root:
             below[parent[n]] += below[n]
 
-    doms = {}
-    own = []
+    k = len(potentials)
+    steps, held, fresh = [], {}, k + 1
     # With any sink, every node is one or sends toward one, so needs its own potential.
     if below[root]:
         for n in sorted(tree.nodes):
             idxs = tree.assignments.get(n)
             if idxs:
-                first, rest, doms[n] = _fold_plan([(i, potentials[i].domain) for i in idxs], cards)
-                own.append((n, first, rest))
-
-    # the plan keys every message by its tuple in tree.sends
-    edge_of = dict(zip(tree.sends, tree.sends))
+                held[n] = _fold(steps, [(i, potentials[i].domain) for i in idxs], fresh, cards)
+                fresh += 1
 
     def inputs(n, skip):
         """Non-vacuous messages into n from neighbors other than skip, then n's own product."""
         out = []
         for q in tree.adj[n]:
             if q != skip:
-                e = edge_of[q, n]
-                if doms[e] is not None:
-                    out.append((e, doms[e]))
-        if n in doms:
-            out.append((n, doms[n]))
+                m = held[q, n]
+                if m is not None:
+                    out.append(m)
+        if n in held:
+            out.append(held[n])
         return out
 
-    sends = []
-    messages = []
+    messages = {}
     for e in tree.sends:
         a, b = e
-        sinks_beyond = below[root] - below[a] if parent[a] == b else below[b]
-        if not sinks_beyond:
-            continue
-        messages.append(e)
+        if not (below[root] - below[a] if parent[a] == b else below[b]):
+            continue  # no sink lies on b's side
         parts = inputs(a, b)
         if not parts:
-            doms[e] = None
+            held[e] = messages[e] = None
             continue
-        first, rest, dom = _fold_plan(parts, cards)
+        slot, dom = _fold(steps, parts, fresh, cards)
         keep = set(tree.separator(a, b)).intersection(dom)
-        if len(keep) == len(dom):
-            marg = None  # the product lies in the separator: nothing to sum out
-        else:
+        if len(keep) < len(dom):  # else the product lies in the separator: nothing to sum out
             marg = marginalize_plan(dom, keep)
-            dom = marg[0]
-        doms[e] = dom
-        sends.append((e, first, rest, marg))
+            steps.append((_MARGINALIZE, fresh, slot, None, marg))
+            slot, dom = fresh, marg[0]
+        fresh += 1
+        held[e] = slot, dom
+        messages[e] = slot
 
-    nodes, seps, extracts = {}, {}, []
+    nodes, seps, extract = {}, {}, {}
     for x in targets:
         d = designated[x]
         if d not in nodes:
-            nodes[d] = _fold_plan(inputs(d, None), cards)
-        dom = nodes[d][2]
-        edge = extract.get(x)
+            nodes[d] = _fold(steps, inputs(d, None), fresh, cards)
+            fresh += 1
+        slot, dom = nodes[d]
+        edge = via.get(x)
         if edge is not None:
             if edge not in seps:
                 u, v = edge
-                parts = [(k, doms[k]) for k in (edge_of[u, v], edge_of[v, u]) if doms[k] is not None]
-                seps[edge] = _fold_plan(parts, cards)
-            dom = seps[edge][2]
-        extracts.append((x, d, edge, marginalize_plan(dom, (x,))))
-    return _SSPlan(own, sends, messages, nodes, seps, extracts)
+                seps[edge] = _fold(steps, [m for m in (held[u, v], held[v, u]) if m is not None], fresh, cards)
+                fresh += 1
+            slot, dom = seps[edge]
+        extract[x] = (_MARGINALIZE, k, slot, None, marginalize_plan(dom, (x,)))
+    return _Plan(fresh, steps, {d: slot for d, (slot, _) in nodes.items()}, messages, extract, [])
 
 
 def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
@@ -456,24 +413,11 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     keeps x in every node and separator on the path from that potential's
     node, so the message along that path carries x.
     """
-    counter = OpCounter()
     _check_assignments(tree, potentials)
-    plan = _ss_plan(tree, potentials, _targets(tree, targets))
-    # own products keyed by node, messages by directed edge
-    held = {n: _fold(potentials, first, rest, counter) for n, first, rest in plan.own}
-    for key, first, rest, marg in plan.sends:
-        prod = _fold(held, first, rest, counter)
-        if marg is not None:
-            prod = marginalize(prod, marg[0], counter, marg)
-        held[key] = prod
-    messages = {key: held.get(key) for key in plan.messages}
-    node_marginals = {d: _fold(held, first, rest, counter) for d, (first, rest, _) in plan.nodes.items()}
-    sep_products = {e: _fold(held, first, rest, counter) for e, (first, rest, _) in plan.seps.items()}
-    marginals = {}
-    for x, d, edge, extract in plan.targets:
-        source = node_marginals[d] if edge is None else sep_products[edge]
-        marginals[x] = normalize(marginalize(source, (x,), counter, extract))
-    return EngineResult("ss", tree.kind, marginals, node_marginals, counter, messages)
+    targets = _targets(tree, targets)
+    key = (tuple(targets), tuple(p.domain for p in potentials))
+    plan = _cached(tree, "ss", key, lambda: _build_ss_plan(tree, potentials, targets))
+    return _run("ss", tree, potentials, targets, plan)
 
 
 def run_all(net: BayesNet, evidence: dict, targets=None) -> dict:

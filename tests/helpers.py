@@ -21,6 +21,9 @@ The ``reference_*`` functions are:
   identity (:class:`MarkedIdentity`) and let ``reference_divide`` skip a
   marked denominator, which the engines, whose tables and registers start
   absent, must match bit for bit.
+
+:func:`step_counts` reads an engine plan's counts off its steps alone,
+which every engine's ``OpCounter`` must equal.
 """
 
 from __future__ import annotations
@@ -32,7 +35,17 @@ import numpy as np
 
 from bnbench.compile import JoinTree, _statespace
 from bnbench.counting import OpCounter
-from bnbench.engines import EngineResult, _check_assignments, _designated, _edge_key, _targets
+from bnbench.engines import (
+    _DIVIDE,
+    _EMBED,
+    _MARGINALIZE,
+    _MULTIPLY,
+    EngineResult,
+    _check_assignments,
+    _designated,
+    _edge_key,
+    _targets,
+)
 from bnbench.potentials import (
     InconsistencyError,
     Potential,
@@ -650,3 +663,40 @@ def reference_hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) 
             source = tables[_designated(tree, x)]
         marginals[x] = normalize(marginalize(source, (x,), counter))
     return EngineResult("hugin", tree.kind, marginals, tables, counter, store)
+
+
+def step_counts(tree: JoinTree, plan, potentials, targets) -> tuple:
+    """``(adds, mults, divs)`` of running an engine plan's steps and extracting ``targets``.
+
+    Walks the steps, and then each target's extraction step, tracking the
+    domain each slot holds; no table is built.  A product counts its output
+    cells as multiplications, a marginalization that sums out some axes its
+    input minus output cells as additions, and a quotient its numerator
+    cells as divisions.  Embeds and copies are free.
+    """
+
+    def cells(dom):
+        return math.prod(tree.cards[v] for v in dom)
+
+    doms = [p.domain for p in potentials] + [None] * (plan.size - len(potentials))
+    adds = mults = divs = 0
+    for kind, out, a, b, kernel_plan in list(plan.steps) + [plan.extract[x] for x in targets]:
+        if kind == _MULTIPLY:
+            dom = doms[a] + tuple(v for v in doms[b] if v not in doms[a])
+            mults += cells(dom)
+        elif kind == _MARGINALIZE:
+            dom = kernel_plan[0]
+            assert set(dom) <= set(doms[a])
+            if len(dom) < len(doms[a]):
+                adds += cells(doms[a]) - cells(dom)
+        elif kind == _DIVIDE:
+            assert set(doms[b]) <= set(doms[a])
+            dom = doms[a]
+            divs += cells(dom)
+        elif kind == _EMBED:
+            dom = kernel_plan[0]
+            assert set(doms[b]) <= set(dom)
+        else:
+            dom = doms[a]
+        doms[out] = dom
+    return adds, mults, divs

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bnbench import cli
-from bnbench.cli import main
+from bnbench.cli import main, summarize_rows
 from bnbench.fileio import load_network
 
 
@@ -543,6 +543,31 @@ class TestReport:
             fp.write("\n".join(lines) + "\n")
         assert main(["report", rows_file]) == 2
         assert "%s: line 3: field 'adds' is not an integer: 'abc'" % rows_file in capsys.readouterr().err
+
+    def test_zero_hugin_mean_gives_ratio(self, rows_file, capsys):
+        # one trial whose totals are 5 (LS), 0 (Hugin) and 4 (SS)
+        with open(rows_file) as fp:
+            lines = fp.read().splitlines()
+        header = lines[1].split(",")
+        rows = []
+        for line, total in zip(lines[2:5], (5, 0, 4)):
+            fields = dict(zip(header, line.split(",")))
+            fields.update(adds=str(total), mults="0", divs="0", total=str(total))
+            rows.append(",".join(fields[k] for k in header))
+        assert [r.split(",")[8] for r in rows] == ["ls", "hugin", "ss"]
+        with open(rows_file, "w") as fp:
+            fp.write("\n".join(lines[:2] + rows) + "\n")
+        assert main(["report", rows_file, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "6,5,2,3,2,1,5.000,0.000,4.000,-1.0000"
+
+    def test_zero_ss_mean_leaves_ratio_blank(self):
+        rows = [
+            dict(n="6", c1="5", c2="2", m="3", p="2", arch=arch, adds=str(t), mults="0", divs="0")
+            for arch, t in (("ls", 5), ("hugin", 3), ("ss", 0))
+        ]
+        (entry,) = summarize_rows(rows, 1.0)
+        assert entry["means"] == {"ls": 5.0, "hugin": 3.0, "ss": 0.0}
+        assert entry["ratio"] is None
 
     def test_deterministic_output(self, rows_file, capsys):
         assert main(["report", rows_file]) == 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bnbench import storage
+from bnbench import engines, storage
 from bnbench.compile import JoinTree, assign_potentials, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
@@ -16,6 +16,7 @@ from helpers import (
     reference_hugin_run,
     reference_ls_run,
     reference_ss_run,
+    step_counts,
 )
 
 # n=200 binary networks, past the brute-force oracle's reach.
@@ -232,6 +233,13 @@ def _assert_ls_hugin_match_references(tree, potentials, targets):
         _assert_same_tables(g[3], unmarked)
         _assert_same_tables(g[4], w[4])
 
+    # the run without a hook takes the other path through the steps
+    plain = hugin_run(tree, potentials, targets)
+    _assert_same_counter(plain.counter, got.counter)
+    _assert_same_tables(plain.node_marginals, got.node_marginals)
+    _assert_same_tables(plain.messages, got.messages)
+    _assert_same_tables(plain.singleton_marginals, got.singleton_marginals)
+
 
 class TestAbsentTablesMatchMarkedIdentities:
     """Tables and registers that start absent give the marked-identity run bit for bit."""
@@ -372,6 +380,84 @@ class TestPlanReuse:
         moved.setdefault(m, []).append(i)
         tree.assignments = {k: sorted(idxs) for k, idxs in moved.items() if idxs}
         _assert_all_match_references(tree, comp.potentials)
+
+
+def _assert_counts_follow_from_steps(tree, potentials, targets=None):
+    ls, hugin, ss = (run(tree, potentials, targets) for run in (ls_run, hugin_run, ss_run))
+    ls_plan, hugin_plan = tree.plans["ls/hugin"][2]
+    chosen = sorted(tree.cards) if targets is None else sorted(set(targets))
+    for res, plan in ((ls, ls_plan), (hugin, hugin_plan), (ss, tree.plans["ss"][2])):
+        assert step_counts(tree, plan, potentials, chosen) == res.counter.as_tuple(), res.arch
+
+
+class TestCountsFollowFromSteps:
+    """Each engine's counts are read off its plan's steps and the domains of its inputs alone."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 30),
+        st.integers(2, 4),
+        st.integers(2, 4),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_networks(self, seed, n, c2, m, data):
+        net, ev = random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0)
+        comp = compile_structures(net, ev)
+        targets = data.draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), unique=True)))
+        for tree in (comp.junction, comp.binary):
+            _assert_counts_follow_from_steps(tree, comp.potentials, targets)
+
+    def test_chest(self, chest_comp):
+        for targets in (None, [], [6], [0, 3, 7]):
+            for tree in (chest_comp.junction, chest_comp.binary):
+                _assert_counts_follow_from_steps(tree, chest_comp.potentials, targets)
+
+    def test_long_trial(self):
+        comp = compile_structures(*random_case(LONG, 0))
+        for tree in (comp.junction, comp.binary):
+            _assert_counts_follow_from_steps(tree, comp.potentials)
+
+
+class TestReplaysCallKernelsByName:
+    """A replayed plan calls whatever ``engines.multiply``, ``marginalize`` and ``divide`` name at run time.
+
+    The plans are built before the names are rebound, so a plan that kept
+    the kernels themselves would bypass the wrappers.
+    """
+
+    def _assert_deltas_match(self, comp, monkeypatch):
+        runs = [(run, tree) for tree in (comp.junction, comp.binary) for run in (ls_run, hugin_run, ss_run)]
+        for run, tree in runs:
+            run(tree, comp.potentials)
+        seen = [0, 0, 0]
+
+        def recording(kernel):
+            def wrapped(*args):
+                counter = args[2]
+                before = counter.as_tuple()
+                out = kernel(*args)
+                for i, (now, then) in enumerate(zip(counter.as_tuple(), before)):
+                    seen[i] += now - then
+                return out
+
+            return wrapped
+
+        for name in ("multiply", "marginalize", "divide"):
+            monkeypatch.setattr(engines, name, recording(getattr(engines, name)))
+        for run, tree in runs:
+            plans = dict(tree.plans)
+            seen[:] = [0, 0, 0]
+            res = run(tree, comp.potentials)
+            assert all(tree.plans[kind] is plans[kind] for kind in plans)
+            assert res.counter.total() > 0
+            assert tuple(seen) == res.counter.as_tuple(), (run.__name__, tree.kind)
+
+    def test_chest(self, chest_comp, monkeypatch):
+        self._assert_deltas_match(chest_comp, monkeypatch)
+
+    def test_long_trial(self, monkeypatch):
+        self._assert_deltas_match(compile_structures(*random_case(LONG, 0)), monkeypatch)
 
 
 def _assert_architectures_agree(params, trial):
