@@ -4,9 +4,10 @@ All engines run on a compiled, potential-assigned JoinTree and charge a
 single OpCounter.  Shared conventions that the counting targets pin down:
 
 * An absent table means "nothing yet".  LS and Hugin node tables and Hugin
-  separator registers start empty.  Loading the first factor into a node is
-  a free copy (``embed``); every later factor costs one multiplication per
-  node configuration.  Initialization is counted.
+  separator registers start empty.  A product into an empty table is the
+  free load: the first factor is copied in (``embed``) and nothing is
+  charged; every later factor costs one multiplication per node
+  configuration.  Initialization is counted.
 * A node with no table when it must send stays silent: the message would
   be vacuous, so nothing is counted, the register stays empty, and the
   receiver skips the product.  A vacuous SS message is stored as None.
@@ -19,10 +20,10 @@ single OpCounter.  Shared conventions that the counting targets pin down:
 Every domain an engine meets follows from the tree, its assignments and
 the domains of the potentials, never from their values.  So each run
 executes a plan (:class:`_Plan`): a flat list of steps over numbered
-slots, each an op kind (embed, multiply, marginalize, divide or copy), its
-output and operand slots and its kernel plan (``multiply_plan``,
-``marginalize_plan``, ``divide_plan`` or ``embed_plan``), plus the slots
-where node tables and messages end and each variable's extraction step.
+slots, each an op kind (multiply, marginalize, divide or copy), its output
+and operand slots and its kernel plan (``marginalize_plan`` for a
+marginalization, else ``multiply_plan``), plus the slots where node tables
+and messages end and each variable's extraction step.
 The three architectures differ only in the steps their builders emit; one
 executor, :func:`_execute`, runs them all and is the only caller of the
 counted kernels.  Plans are built on a tree's first run and kept in
@@ -43,9 +44,7 @@ from bnbench.counting import OpCounter
 from bnbench.network import BayesNet
 from bnbench.potentials import (
     divide,
-    divide_plan,
     embed,
-    embed_plan,
     identity_over,  # unused here; kept because perfbench's tracer binds engines.identity_over
     marginalize,
     marginalize_plan,
@@ -115,9 +114,9 @@ def _cached(tree: JoinTree, kind: str, key, build):
 
 
 # Step kinds.  A step ``(kind, out, a, b, kernel plan)`` sets slot ``out``
-# to a * b, to a marginalized, to a / b, to b loaded into a table over the
-# kernel plan's domain (embed), or to a itself (copy).
-_EMBED, _MULTIPLY, _MARGINALIZE, _DIVIDE, _COPY = range(5)
+# to a * b, to a marginalized, to a / b, or to a itself (copy).  A product
+# whose slot a is empty is the free load: b embedded over the plan's domain.
+_MULTIPLY, _MARGINALIZE, _DIVIDE, _COPY = range(4)
 
 
 class _Plan(NamedTuple):
@@ -143,13 +142,14 @@ def _execute(steps, vals: list, counter: OpCounter):
     """Run ``steps`` over the slots ``vals``; each kernel is looked up by name at its call."""
     for kind, out, a, b, plan in steps:
         if kind == _MULTIPLY:
-            vals[out] = multiply(vals[a], vals[b], counter, plan)
+            if vals[a] is None:
+                vals[out] = embed(vals[b], plan[0], None, plan)
+            else:
+                vals[out] = multiply(vals[a], vals[b], counter, plan)
         elif kind == _MARGINALIZE:
             vals[out] = marginalize(vals[a], plan[0], counter, plan)
         elif kind == _DIVIDE:
             vals[out] = divide(vals[a], vals[b], counter, plan)
-        elif kind == _EMBED:
-            vals[out] = embed(vals[b], plan[0], None, plan)
         else:
             vals[out] = vals[a]
 
@@ -190,11 +190,12 @@ def _build_table_plans(tree: JoinTree, potentials):
     """The LS and the Hugin plan of one tree, emitted in one pass over ``tree.sends``.
 
     Every table spans its node's sorted domain and every message its
-    separator.  Which node has a table at each send, and which Hugin
-    register is written, follows from the assignments alone, so a silent
-    sender emits no step.  After the inputs and the extraction slot come
-    the message slot, Hugin's quotient slot, one table slot per node and
-    one register slot per edge.
+    separator.  Loads and absorbs are all products; one into a node with no
+    table yet is the free load.  Which node has a table at each send, and
+    which Hugin register is written, follows from the assignments alone, so
+    a silent sender emits no step.  After the inputs and the extraction slot
+    come the message slot, Hugin's quotient slot, one table slot per node
+    and one register slot per edge.
     """
     nodes, cards, k = tree.nodes, tree.cards, len(potentials)
     msg, quo = k + 1, k + 2
@@ -202,12 +203,16 @@ def _build_table_plans(tree: JoinTree, potentials):
     register = {e: k + 3 + len(nodes) + i for i, e in enumerate(tree.edges())}
     init, has_table = [], set()
     for n in sorted(nodes):
-        idxs = tree.assignments.get(n)
-        if idxs:
+        for i in tree.assignments.get(n, ()):
             has_table.add(n)
-            init.append((_EMBED, table[n], None, idxs[0], embed_plan(potentials[idxs[0]].domain, nodes[n], cards)))
-            for i in idxs[1:]:
-                init.append((_MULTIPLY, table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
+            init.append((_MULTIPLY, table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
+    over = {}  # (node, edge) -> the plan of node's table with a message over edge's separator
+
+    def plan_over(n, e, sep):
+        if (n, e) not in over:
+            over[n, e] = multiply_plan(nodes[n], sep, cards)
+        return over[n, e]
+
     ls, hugin, marks, written = list(init), init, [], set()
     parent = tree.rooting.parent
     for a, b in tree.sends:
@@ -217,22 +222,18 @@ def _build_table_plans(tree: JoinTree, potentials):
         e = _edge_key(a, b)
         inward = parent[a] == b
         take = (_MARGINALIZE, msg, table[a], None, marginalize_plan(nodes[a], sep))
-        # the receiver folds the message in, or loads it when it has no table yet
-        if b in has_table:
-            absorb, into = _MULTIPLY, multiply_plan(nodes[b], sep, cards)
-        else:
-            absorb, into = _EMBED, embed_plan(sep, nodes[b], cards)
-        ls += (take, (absorb, table[b], table[b], msg, into))
+        into = plan_over(b, e, sep)
+        ls += (take, (_MULTIPLY, table[b], table[b], msg, into))
         if inward:
-            ls.append((_DIVIDE, table[a], table[a], msg, divide_plan(nodes[a], sep, cards)))
+            ls.append((_DIVIDE, table[a], table[a], msg, plan_over(a, e, sep)))
         hugin.append(take)
         if not inward and tree.degree(b) == 1 and nodes[b] == sep and len(sep) > 1:
             hugin.append((_COPY, table[b], msg, None, None))  # a leaf served by the register
         elif e in written:
-            hugin.append((_DIVIDE, quo, msg, register[e], divide_plan(sep, sep, cards)))
-            hugin.append((absorb, table[b], table[b], quo, into))
+            hugin.append((_DIVIDE, quo, msg, register[e], multiply_plan(sep, sep, cards)))
+            hugin.append((_MULTIPLY, table[b], table[b], quo, into))
         else:
-            hugin.append((absorb, table[b], table[b], msg, into))
+            hugin.append((_MULTIPLY, table[b], table[b], msg, into))
         hugin.append((_COPY, register[e], msg, None, None))
         marks.append(("inward" if inward else "outward", a, b, len(hugin)))
         has_table.add(b)

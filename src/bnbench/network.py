@@ -244,7 +244,7 @@ def figure9_evidence() -> dict:
 def evidence_potentials(net: BayesNet, evidence: dict) -> list:
     pots = []
     for vid in sorted(evidence):
-        if vid >= net.n:
+        if vid not in range(net.n):
             raise NetworkError("evidence on unknown variable %r" % vid)
         pots.append(make_potential([net.var(vid)], evidence[vid]))
     return pots

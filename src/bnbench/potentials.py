@@ -9,12 +9,13 @@ units: one multiplication per output cell for combination, one addition per
 collapsed cell for marginalization, one division per numerator cell for
 division.  Normalization is deliberately uncounted.
 
-``multiply``, ``marginalize``, ``divide`` and ``embed`` each take an optional
-plan, made by ``multiply_plan``, ``marginalize_plan``, ``divide_plan`` or
-``embed_plan`` from domains and cardinalities alone: the result domain and
-the transpose, reshape or sum axes.  A kernel given no plan computes it with
-the same function, so there is one arithmetic path; the engines build each
-plan once per tree and pass it on every run.
+Every kernel takes an optional plan made from domains and cardinalities
+alone.  ``marginalize_plan`` gives ``marginalize`` the kept domain and the
+summed axes.  ``multiply_plan`` is the one broadcast plan, shared by
+``multiply``, ``divide`` and ``embed``: the result domain and shape, a's
+reshape and b's view over the result.  A kernel given no plan computes it
+with the same function, so there is one arithmetic path; the engines build
+each plan once per tree and pass it on every run.
 """
 
 from __future__ import annotations
@@ -145,40 +146,17 @@ def _view(arr: np.ndarray, perm, shape) -> np.ndarray:
     return arr
 
 
-def embed_plan(dom: tuple, domain: Sequence[int], cards: dict):
-    """Plan of :func:`embed` for a table over ``dom``: result domain and shape, and the view."""
-    out = tuple(domain)
-    if not set(dom) <= set(out):
-        raise PotentialError("cannot embed %r into %r" % (dom, out))
-    return (out, tuple(map(cards.__getitem__, out))) + _expand_plan(dom, out, cards)
-
-
-def embed(pot: Potential, domain: Sequence[int], cards: dict, plan=None) -> Potential:
-    """Broadcast ``pot`` onto a superset ``domain`` without counting anything.
-
-    Numerically a multiplication by ones; the engines use it to load the
-    first factor into a node that has no table yet, which costs no
-    arithmetic.  ``plan`` is ``embed_plan(pot.domain, domain, cards)``,
-    computed here when not given.
-    """
-    if plan is None:
-        plan = embed_plan(pot.domain, domain, cards)
-    dom, shape, perm, view = plan
-    out = np.empty(shape)
-    np.copyto(out, _view(pot.values, perm, view))
-    return Potential(dom, out)
-
-
 def multiply_plan(a_dom: tuple, b_dom: tuple, cards: dict):
-    """Plan of :func:`multiply`: the union domain and the views of both operands.
+    """The broadcast plan of a table over ``a_dom`` with one over ``b_dom``.
 
-    The union lists a's variables first, so a is only ever reshaped, and
-    only when b brings new variables.
+    ``(dom, a_shape, b_perm, b_shape)``: the union domain, listing a's
+    variables first, a's shape over it (the result's shape when b brings no
+    new variable), and b's :func:`_expand_plan` view.  a is only ever
+    reshaped.
     """
     extra = tuple([v for v in b_dom if v not in a_dom])
     dom = a_dom + extra
-    a_shape = tuple(map(cards.__getitem__, a_dom)) + (1,) * len(extra) if extra else None
-    return (dom, a_shape) + _expand_plan(b_dom, dom, cards)
+    return (dom, tuple(map(cards.__getitem__, a_dom)) + (1,) * len(extra)) + _expand_plan(b_dom, dom, cards)
 
 
 def multiply(a: Potential, b: Potential, counter: OpCounter, plan=None) -> Potential:
@@ -190,9 +168,26 @@ def multiply(a: Potential, b: Potential, counter: OpCounter, plan=None) -> Poten
     if plan is None:
         plan = multiply_plan(a.domain, b.domain, _cards(a, b))
     dom, a_shape, b_perm, b_shape = plan
-    a_v = a.values if a_shape is None else a.values.reshape(a_shape)
-    out = a_v * _view(b.values, b_perm, b_shape)
+    out = a.values.reshape(a_shape) * _view(b.values, b_perm, b_shape)
     counter.mults += out.size
+    return Potential(dom, out)
+
+
+def embed(pot: Potential, domain: Sequence[int], cards: dict, plan=None) -> Potential:
+    """Broadcast ``pot`` onto a superset ``domain`` without counting anything.
+
+    Numerically a multiplication by ones; the engines use it to load the
+    first factor into a node that has no table yet, which costs no
+    arithmetic.  ``plan`` is ``multiply_plan(domain, pot.domain, cards)``,
+    computed here when not given.
+    """
+    if plan is None:
+        if not set(pot.domain) <= set(domain):
+            raise PotentialError("cannot embed %r into %r" % (pot.domain, tuple(domain)))
+        plan = multiply_plan(tuple(domain), pot.domain, cards)
+    dom, shape, perm, view = plan
+    out = np.empty(shape)
+    np.copyto(out, _view(pot.values, perm, view))
     return Potential(dom, out)
 
 
@@ -226,22 +221,17 @@ def marginalize(a: Potential, keep: Iterable[int], counter: OpCounter, plan=None
     return Potential(dom, out)
 
 
-def divide_plan(num_dom: tuple, den_dom: tuple, cards: dict):
-    """Plan of :func:`divide`: the result domain and the denominator's view over it."""
-    if not set(den_dom) <= set(num_dom):
-        raise PotentialError("denominator domain %r exceeds numerator %r" % (den_dom, num_dom))
-    return (num_dom,) + _expand_plan(den_dom, num_dom, cards)
-
-
 def divide(num: Potential, den: Potential, counter: OpCounter, plan=None) -> Potential:
     """Pointwise quotient with 0/0 := 0.
 
-    ``plan`` is ``divide_plan(num.domain, den.domain, cards)``, computed
+    ``plan`` is ``multiply_plan(num.domain, den.domain, cards)``, computed
     here when not given.
     """
     if plan is None:
-        plan = divide_plan(num.domain, den.domain, _cards(den))
-    dom, perm, shape = plan
+        if not set(den.domain) <= set(num.domain):
+            raise PotentialError("denominator domain %r exceeds numerator %r" % (den.domain, num.domain))
+        plan = multiply_plan(num.domain, den.domain, _cards(num))
+    dom, _, perm, shape = plan
     den_v = _view(den.values, perm, shape)
     if den.values.all():
         out = np.empty_like(num.values)

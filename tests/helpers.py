@@ -36,8 +36,8 @@ import numpy as np
 from bnbench.compile import JoinTree, _statespace
 from bnbench.counting import OpCounter
 from bnbench.engines import (
+    _COPY,
     _DIVIDE,
-    _EMBED,
     _MARGINALIZE,
     _MULTIPLY,
     EngineResult,
@@ -672,7 +672,8 @@ def step_counts(tree: JoinTree, plan, potentials, targets) -> tuple:
     domain each slot holds; no table is built.  A product counts its output
     cells as multiplications, a marginalization that sums out some axes its
     input minus output cells as additions, and a quotient its numerator
-    cells as divisions.  Embeds and copies are free.
+    cells as divisions.  A product into an empty slot (the free load) and a
+    copy are free; any other step kind fails.
     """
 
     def cells(dom):
@@ -681,7 +682,10 @@ def step_counts(tree: JoinTree, plan, potentials, targets) -> tuple:
     doms = [p.domain for p in potentials] + [None] * (plan.size - len(potentials))
     adds = mults = divs = 0
     for kind, out, a, b, kernel_plan in list(plan.steps) + [plan.extract[x] for x in targets]:
-        if kind == _MULTIPLY:
+        if kind == _MULTIPLY and doms[a] is None:
+            dom = kernel_plan[0]
+            assert set(doms[b]) <= set(dom)
+        elif kind == _MULTIPLY:
             dom = doms[a] + tuple(v for v in doms[b] if v not in doms[a])
             mults += cells(dom)
         elif kind == _MARGINALIZE:
@@ -693,10 +697,9 @@ def step_counts(tree: JoinTree, plan, potentials, targets) -> tuple:
             assert set(doms[b]) <= set(doms[a])
             dom = doms[a]
             divs += cells(dom)
-        elif kind == _EMBED:
-            dom = kernel_plan[0]
-            assert set(doms[b]) <= set(dom)
-        else:
+        elif kind == _COPY:
             dom = doms[a]
+        else:
+            raise AssertionError("unknown step kind %r" % (kind,))
         doms[out] = dom
     return adds, mults, divs

@@ -460,6 +460,54 @@ class TestReplaysCallKernelsByName:
         self._assert_deltas_match(compile_structures(*random_case(LONG, 0)), monkeypatch)
 
 
+class TestFreeLoad:
+    """A product into an empty table is the free load: ``engines.embed``, with nothing charged.
+
+    An LS run loads each node's table exactly once, and no SS step is a
+    product into an empty slot.
+    """
+
+    def _assert_one_free_load_per_node(self, comp, monkeypatch, sizes):
+        counters, loads, embed = [], [], engines.embed
+
+        def new_counter():
+            counters.append(OpCounter())
+            return counters[-1]
+
+        def recording(pot, domain, cards, plan=None):
+            before = counters[-1].as_tuple()
+            out = embed(pot, domain, cards, plan)
+            assert counters[-1].as_tuple() == before
+            loads.append(out.domain)
+            return out
+
+        monkeypatch.setattr(engines, "OpCounter", new_counter)
+        monkeypatch.setattr(engines, "embed", recording)
+        for tree, size in zip((comp.junction, comp.binary), sizes):
+            loads.clear()
+            ls_run(tree, comp.potentials)
+            assert len(loads) == len(tree.nodes) == size
+            assert sorted(loads) == sorted(tree.nodes.values())
+
+    def _assert_ss_never_loads(self, comp):
+        for tree in (comp.junction, comp.binary):
+            ss_run(tree, comp.potentials)
+            plan = tree.plans["ss"][2]
+            filled = set(range(len(comp.potentials)))
+            for kind, out, a, _, _ in plan.steps:
+                assert kind != engines._MULTIPLY or a in filled
+                filled.add(out)
+
+    def test_chest(self, chest_comp, monkeypatch):
+        self._assert_ss_never_loads(chest_comp)
+        self._assert_one_free_load_per_node(chest_comp, monkeypatch, (6, 20))
+
+    def test_long_trial(self, monkeypatch):
+        comp = compile_structures(*random_case(LONG, 0))
+        self._assert_ss_never_loads(comp)
+        self._assert_one_free_load_per_node(comp, monkeypatch, (158, 679))
+
+
 def _assert_architectures_agree(params, trial):
     runs = run_all(*random_case(params, trial))
     ss = runs["ss"].singleton_marginals

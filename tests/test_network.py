@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bnbench.compile import compile_structures
 from bnbench.counting import OpCounter
 from bnbench.network import (
     BayesNet,
@@ -120,6 +121,13 @@ class TestEvidence:
 
     def test_unknown_variable_reported(self, chest):
         assert check_evidence(chest, {99: np.ones(2)}) != []
+
+    @pytest.mark.parametrize("vid", [-1, 8])
+    def test_potentials_refuse_unknown_variable(self, chest, vid):
+        # a negative id must not index from the end: -1 would be D
+        for build in (evidence_potentials, compile_structures):
+            with pytest.raises(NetworkError, match="^evidence on unknown variable %d$" % vid):
+                build(chest, {vid: [1.0, 0.0]})
 
     def test_potentials_sorted_by_variable(self, chest, chest_evidence):
         pots = evidence_potentials(chest, chest_evidence)

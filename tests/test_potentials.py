@@ -13,9 +13,7 @@ from bnbench.potentials import (
     _expand_plan,
     _view,
     divide,
-    divide_plan,
     embed,
-    embed_plan,
     identity_over,
     make_potential,
     marginalize,
@@ -447,7 +445,7 @@ class TestPlannedKernelsMatchUnplanned:
         cards, outer, inner, seed = case
         rng = np.random.default_rng(seed)
         marg = marginalize_plan(outer, inner)
-        load = embed_plan(inner, outer, cards)
+        load = multiply_plan(outer, inner, cards)
         for _ in range(2):
             a = Potential(outer, _layout(_table(rng, outer, cards), fortran))
             c_got, c_want = OpCounter(), OpCounter()
@@ -460,7 +458,7 @@ class TestPlannedKernelsMatchUnplanned:
     def test_divide(self, case, zeros, fortran):
         cards, outer, inner, seed = case
         rng = np.random.default_rng(seed)
-        plan = divide_plan(outer, inner, cards)
+        plan = multiply_plan(outer, inner, cards)
         for _ in range(2):
             den = Potential(inner, _table(rng, inner, cards, zeros))
             num = np.broadcast_to(reference_expand(den, outer), tuple(cards[v] for v in outer))
@@ -473,10 +471,11 @@ class TestPlannedKernelsMatchUnplanned:
         cards = {0: 2, 1: 3}
         with pytest.raises(PotentialError):
             marginalize_plan((0,), (1,))
-        with pytest.raises(PotentialError):
-            divide_plan((0,), (0, 1), cards)
-        with pytest.raises(PotentialError):
-            embed_plan((0, 1), (1,), cards)
+        num, den = from_values([0], [2], [0.5, 0.5]), from_values([0, 1], [2, 3], np.ones(6))
+        with pytest.raises(PotentialError, match="denominator domain"):
+            divide(num, den, OpCounter())
+        with pytest.raises(PotentialError, match="cannot embed"):
+            embed(den, (1,), cards)
 
 
 class TestVariable:
