@@ -6,7 +6,8 @@ architectures, ``verify`` compares every architecture against the
 brute-force joint, ``bench`` generates random cases and emits CSV rows, and
 ``report`` aggregates those rows into comparison tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
+141 when the reader closed stdout before all output was written.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from bnbench.fileio import (
     read_rows,
     rows_to_csv,
     save_network,
+    tagged_csv,
     tree_dump,
     write_rows,
 )
@@ -46,6 +48,44 @@ from bnbench.storage import peak_working_memory, storage_report
 
 RUNNERS = {"ls": ls_run, "hugin": hugin_run, "ss": ss_run}
 REPORT_SCHEMA = "bnbench-report-1"
+COUNT_HEADER = ("arch", "tree", "adds", "mults", "divs", "total")
+# The storage figures in fpn; a bench row names each one with an ``_fpn`` suffix.
+STORAGE_FIELDS = ("input", "evidence", "clique", "separator", "output", "total", "peak")
+STORAGE_HEADER = ("arch", *STORAGE_FIELDS)
+
+
+def _table(fmt, header, rows, left=1, tag=None):
+    """Text of a table of string rows, each line ending in a newline.
+
+    ``csv`` is schema-tagged with ``tag``. ``markdown`` and ``text`` align
+    the first ``left`` columns left and the rest right; ``text`` pads the
+    columns to a common width.
+    """
+    if fmt == "csv":
+        return tagged_csv(tag, header, rows)
+    if fmt == "markdown":
+        rule = ["---"] * left + ["---:"] * (len(header) - left)
+        lines = ["| " + " | ".join(row) + " |" for row in (header, rule, *rows)]
+    else:
+        widths = [max(map(len, col)) for col in zip(header, *rows)]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+        for row in rows:
+            cells = [c.ljust(w) for c, w in zip(row[:left], widths)]
+            cells += [c.rjust(w) for c, w in zip(row[left:], widths[left:])]
+            lines.append("  ".join(cells).rstrip())
+    return "".join(line + "\n" for line in lines)
+
+
+def _pairs(header, row):
+    """``key=value`` text of one table row."""
+    return " ".join("%s=%s" % kv for kv in zip(header, row))
+
+
+def _storage_fields(arch, tree, net, evidence, targets=None):
+    """The STORAGE_FIELDS of ``arch`` on ``tree``: storage_report's figures, then the peak."""
+    stor = storage_report(arch, tree, net, evidence, targets)
+    figures = [getattr(stor, "%s_fpn" % k) for k in STORAGE_FIELDS[:-1]]
+    return (*figures, peak_working_memory(arch, tree))
 
 
 def _natural_tree(comp, arch, choice="auto"):
@@ -152,58 +192,37 @@ def cmd_infer(args):
     targets = _target_ids(net, args.targets)
     results = _infer_results(net, evidence, args.arch, args.tree, targets)
     names = {v.id: v.name for v in net.variables}
-    lines = []
-    if args.format == "csv":
-        lines.append("# bnbench-marginals-1")
-        lines.append("arch,tree,variable,state,probability")
-    elif args.format == "markdown":
-        lines.append("| arch | tree | adds | mults | divs | total |")
-        lines.append("| --- | --- | ---: | ---: | ---: | ---: |")
+    counts = []
+    storage = []
+    marginals = []  # (arch, tree, variable, probability of each state)
     for res, tree in results:
         c = res.counter
-        if args.format != "csv":
-            row = (res.arch, res.tree_kind, c.adds, c.mults, c.divs, c.total())
-            if args.format == "markdown":
-                lines.append("| %s | %s | %d | %d | %d | %d |" % row)
-            else:
-                lines.append("arch=%s tree=%s adds=%d mults=%d divs=%d total=%d" % row)
+        counts.append((res.arch, res.tree_kind, *map(str, (c.adds, c.mults, c.divs, c.total()))))
         if args.storage:
-            stor = storage_report(res.arch, tree, net, evidence, targets)
-            lines.append(
-                "storage arch=%s input=%d evidence=%d clique=%d separator=%d "
-                "output=%d total=%d peak=%d"
-                % (
-                    res.arch,
-                    stor.input_fpn,
-                    stor.evidence_fpn,
-                    stor.clique_fpn,
-                    stor.separator_fpn,
-                    stor.output_fpn,
-                    stor.total_fpn,
-                    peak_working_memory(res.arch, tree),
-                )
-            )
-    if args.format == "markdown":
-        lines.append("")
-        lines.append("| arch | variable | state | probability |")
-        lines.append("| --- | --- | ---: | ---: |")
-    for res, _tree in results:
+            fields = _storage_fields(res.arch, tree, net, evidence, targets)
+            storage.append((res.arch, *map(str, fields)))
         for x in targets:
             probs = res.singleton_marginals[x].values.reshape(-1)
-            if args.format == "csv":
-                for k, pr in enumerate(probs):
-                    lines.append(
-                        "%s,%s,%s,%d,%.12g" % (res.arch, res.tree_kind, names[x], k, pr)
-                    )
-            elif args.format == "markdown":
-                for k, pr in enumerate(probs):
-                    lines.append("| %s | %s | %d | %.6f |" % (res.arch, names[x], k, pr))
-            else:
-                lines.append(
-                    "P(%s|%s) = %s"
-                    % (names[x], res.arch, " ".join("%.6f" % pr for pr in probs))
-                )
-    print("\n".join(lines))
+            marginals.append((res.arch, res.tree_kind, names[x], probs))
+    states = [(a, t, v, str(k), pr) for a, t, v, probs in marginals for k, pr in enumerate(probs)]
+    if args.format == "csv":
+        rows = [(a, t, v, k, "%.12g" % pr) for a, t, v, k, pr in states]
+        header = ("arch", "tree", "variable", "state", "probability")
+        sys.stdout.write(_table("csv", header, rows, tag="bnbench-marginals-1"))
+    elif args.format == "markdown":
+        tables = [_table("markdown", COUNT_HEADER, counts, left=2)]
+        if storage:
+            tables.append(_table("markdown", STORAGE_HEADER, storage))
+        rows = [(a, v, k, "%.6f" % pr) for a, _t, v, k, pr in states]
+        tables.append(_table("markdown", ("arch", "variable", "state", "probability"), rows, left=2))
+        sys.stdout.write("\n".join(tables))
+    else:
+        for i, row in enumerate(counts):
+            print(_pairs(COUNT_HEADER, row))
+            if storage:
+                print("storage " + _pairs(STORAGE_HEADER, storage[i]))
+        for a, _t, v, probs in marginals:
+            print("P(%s|%s) = %s" % (v, a, " ".join("%.6f" % pr for pr in probs)))
     return 0
 
 
@@ -214,12 +233,8 @@ def _deviations(marginals: dict, oracle: dict) -> dict:
 
 def cmd_verify(args):
     net, evidence = _load_case(args.network)
-    try:
-        with _naming_evidence(net, evidence):
-            oracle = oracle_marginals(net, evidence, args.oracle_cap)
-    except Exception as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    with _naming_evidence(net, evidence):
+        oracle = oracle_marginals(net, evidence, args.oracle_cap)
     results = _infer_results(net, evidence, "all", "auto", None)
     failed = False
     for res, _tree in results:
@@ -314,7 +329,7 @@ def _bench_trial(params: GenParams, t: int):
         c = res.counter
         marginals[arch] = res.singleton_marginals
         del res
-        stor = storage_report(arch, tree, net, evidence)
+        storage = _storage_fields(arch, tree, net, evidence)
         rows.append(
             {
                 "trial": t,
@@ -332,13 +347,7 @@ def _bench_trial(params: GenParams, t: int):
                 "mults": c.mults,
                 "divs": c.divs,
                 "total": c.total(),
-                "input_fpn": stor.input_fpn,
-                "evidence_fpn": stor.evidence_fpn,
-                "clique_fpn": stor.clique_fpn,
-                "separator_fpn": stor.separator_fpn,
-                "output_fpn": stor.output_fpn,
-                "total_fpn": stor.total_fpn,
-                "peak_fpn": peak_working_memory(arch, tree),
+                **{"%s_fpn" % k: v for k, v in zip(STORAGE_FIELDS, storage)},
             }
         )
     return net, evidence, rows, marginals
@@ -379,8 +388,7 @@ def cmd_bench(args):
                     )
     if args.out:
         write_rows(args.out, rows)
-        for line in _render_summary(summarize_rows(rows, 1.0), "text"):
-            print(line)
+        sys.stdout.write(_render_summary(summarize_rows(rows, 1.0), "text"))
         print("wrote %d rows to %s" % (len(rows), args.out))
     else:
         sys.stdout.write(rows_to_csv(rows))
@@ -416,68 +424,33 @@ def summarize_rows(rows: list, div_weight: float) -> list:
     return out
 
 
-def _render_summary(summary: list, fmt: str) -> list:
+def _render_summary(summary: list, fmt: str) -> str:
     def mean(x):
         return "" if x is None else "%.3f" % x
 
-    def ratio(x):
-        return "" if x is None else "%.4f" % x
-
-    lines = []
+    rows = [
+        (
+            *map(str, e["params"]),
+            str(e["trials"]),
+            *(mean(e["means"][arch]) for arch in ARCHES),
+            "" if e["ratio"] is None else "%.4f" % e["ratio"],
+        )
+        for e in summary
+    ]
     if fmt == "csv":
-        lines.append("# %s" % REPORT_SCHEMA)
-        lines.append("n,c1,c2,m,p,trials,mean_ls,mean_hugin,mean_ss,hugin_ss_ratio")
-        for e in summary:
-            lines.append(
-                "%d,%d,%d,%d,%d,%d,%s,%s,%s,%s"
-                % (
-                    *e["params"],
-                    e["trials"],
-                    mean(e["means"]["ls"]),
-                    mean(e["means"]["hugin"]),
-                    mean(e["means"]["ss"]),
-                    ratio(e["ratio"]),
-                )
-            )
-        return lines
+        header = (*GEN_KEYS, "trials", "mean_ls", "mean_hugin", "mean_ss", "hugin_ss_ratio")
+        return _table(fmt, header, rows, tag=REPORT_SCHEMA)
+    # text and markdown fold the generator parameters into one column
+    rows = [(" ".join("%s=%s" % kv for kv in zip(GEN_KEYS, row)), *row[5:]) for row in rows]
     header = ("params", "trials", "LS mean", "Hugin mean", "SS mean", "Hugin/SS-1")
-    body = []
-    for e in summary:
-        body.append(
-            (
-                "n=%d c1=%d c2=%d m=%d p=%d" % e["params"],
-                str(e["trials"]),
-                mean(e["means"]["ls"]),
-                mean(e["means"]["hugin"]),
-                mean(e["means"]["ss"]),
-                ratio(e["ratio"]),
-            )
-        )
-    if fmt == "markdown":
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("| --- | ---: | ---: | ---: | ---: | ---: |")
-        for row in body:
-            lines.append("| " + " | ".join(row) + " |")
-        return lines
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i]) for i in range(6)]
-    lines.append("  ".join(header[i].ljust(widths[i]) for i in range(6)).rstrip())
-    for row in body:
-        lines.append(
-            "  ".join(
-                row[i].ljust(widths[i]) if i == 0 else row[i].rjust(widths[i])
-                for i in range(6)
-            ).rstrip()
-        )
-    return lines
+    return _table(fmt, header, rows)
 
 
 def cmd_report(args):
     rows = []
     for path in args.rows:
         rows.extend(read_rows(path))
-    summary = summarize_rows(rows, args.div_weight)
-    for line in _render_summary(summary, args.format):
-        print(line)
+    sys.stdout.write(_render_summary(summarize_rows(rows, args.div_weight), args.format))
     return 0
 
 
@@ -553,7 +526,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: print nothing more, and leave no output for the flush at
+        # exit to fail on. 141 is what a shell reports for a tool killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -192,14 +192,22 @@ def tree_dump(tree: JoinTree, names: dict = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_csv(rows: list) -> str:
+def tagged_csv(tag: str, header, rows) -> str:
+    """CSV text: a ``# tag`` line, the header, then the rows, each line ending in ``\\n``.
+
+    A field holding a comma, a quote or a line break is quoted.
+    """
     buf = io.StringIO()
-    buf.write("# %s\n" % CSV_SCHEMA)
-    writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in ROW_FIELDS})
+    buf.write("# %s\n" % tag)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def rows_to_csv(rows: list) -> str:
+    body = ([row.get(k, "") for k in ROW_FIELDS] for row in rows)
+    return tagged_csv(CSV_SCHEMA, ROW_FIELDS, body)
 
 
 def write_rows(path: str, rows: list):

@@ -1,12 +1,20 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import bnbench
 from bnbench import cli
 from bnbench.cli import main, summarize_rows
 from bnbench.fileio import load_network
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.fixture()
@@ -14,6 +22,19 @@ def chest_file(tmp_path):
     path = tmp_path / "chest.json"
     assert main(["fixture", "--name", "chest", "--out", str(path)]) == 0
     return str(path)
+
+
+@pytest.fixture()
+def rows_file(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    main(["bench", "--params", "6,5,2,3,2", "--trials", "5", "--seed", "4", "--out", str(path)])
+    capsys.readouterr()
+    return str(path)
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name)) as fp:
+        return fp.read()
 
 
 def _edited_chest(chest_file, tmp_path, edit):
@@ -118,6 +139,36 @@ class TestInfer:
             "output=16 total=158 peak=8" in out
         )
 
+    def test_markdown_storage_table(self, chest_file, capsys):
+        assert main(["infer", "--network", chest_file, "--format", "markdown", "--storage"]) == 0
+        tables = capsys.readouterr().out.split("\n\n")
+        assert len(tables) == 3
+        assert tables[1].splitlines() == [
+            "| arch | input | evidence | clique | separator | output | total | peak |",
+            "| --- | ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
+            "| ls | 36 | 4 | 40 | 0 | 16 | 96 | 8 |",
+            "| hugin | 36 | 4 | 40 | 16 | 16 | 112 | 8 |",
+            "| ss | 36 | 4 | 0 | 102 | 16 | 158 | 8 |",
+        ]
+        assert not any(line.startswith("storage ") for t in tables for line in t.splitlines())
+
+    def test_csv_quotes_a_name_with_a_comma(self, chest_file, tmp_path, capsys):
+        def rename(doc):
+            doc["variables"][0]["name"] = "A,1"
+            doc["arcs"] = [["A,1" if v == "A" else v for v in arc] for arc in doc["arcs"]]
+            for key in ("cpts", "evidence"):
+                doc[key]["A,1"] = doc[key].pop("A")
+
+        path = _edited_chest(chest_file, tmp_path, rename)
+        assert main(["infer", "--network", path, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# bnbench-marginals-1\n")
+        rows = list(csv.reader(out.splitlines()[1:]))
+        assert rows[0] == ["arch", "tree", "variable", "state", "probability"]
+        assert all(len(row) == 5 for row in rows)
+        assert [row[2] for row in rows[1:3]] == ["A,1", "A,1"]
+        assert sum(row[2] == "A,1" for row in rows) == 6
+
 
 class TestVerify:
     def test_passes_on_chest(self, chest_file, capsys):
@@ -143,6 +194,17 @@ class TestVerify:
 
     def test_oracle_cap_refusal(self, chest_file, capsys):
         assert main(["verify", "--network", chest_file, "--oracle-cap", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: joint has 256 configurations, above the oracle cap 8\n"
+
+    def test_programming_error_is_not_an_input_error(self, chest_file, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("oracle bug")
+
+        monkeypatch.setattr(cli, "oracle_marginals", broken)
+        with pytest.raises(RuntimeError, match="oracle bug"):
+            main(["verify", "--network", chest_file])
 
     def test_missing_file(self, capsys):
         assert main(["verify", "--network", "/does/not/exist.json"]) == 2
@@ -471,13 +533,6 @@ class TestBench:
 
 
 class TestReport:
-    @pytest.fixture()
-    def rows_file(self, tmp_path, capsys):
-        path = tmp_path / "rows.csv"
-        main(["bench", "--params", "6,5,2,3,2", "--trials", "5", "--seed", "4", "--out", str(path)])
-        capsys.readouterr()
-        return str(path)
-
     def test_text_table(self, rows_file, capsys):
         assert main(["report", rows_file]) == 0
         out = capsys.readouterr().out
@@ -574,6 +629,59 @@ class TestReport:
         first = capsys.readouterr().out
         assert main(["report", rows_file]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestGolden:
+    """Full stdout, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "extra,golden",
+        [
+            ([], "infer.txt"),
+            (["--format", "csv"], "infer.csv"),
+            (["--format", "markdown"], "infer.md"),
+            (["--storage"], "infer_storage.txt"),
+        ],
+    )
+    def test_infer(self, chest_file, capsys, extra, golden):
+        assert main(["infer", "--network", chest_file] + extra) == 0
+        assert capsys.readouterr().out == _golden(golden)
+
+    @pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("csv", "csv"), ("markdown", "md")])
+    @pytest.mark.parametrize("header_only", [False, True], ids=["rows", "header-only"])
+    def test_report(self, rows_file, capsys, fmt, suffix, header_only):
+        if header_only:
+            with open(rows_file) as fp:
+                head = fp.readlines()[:2]
+            with open(rows_file, "w") as fp:
+                fp.writelines(head)
+        assert main(["report", rows_file, "--format", fmt]) == 0
+        name = "report_empty" if header_only else "report"
+        assert capsys.readouterr().out == _golden("%s.%s" % (name, suffix))
+
+    def test_bench_summary(self, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        argv = ["bench", "--params", "6,5,2,3,2", "--trials", "5", "--seed", "4", "--out", str(path)]
+        assert main(argv) == 0
+        *summary, wrote = capsys.readouterr().out.splitlines(keepends=True)
+        assert "".join(summary) == _golden("bench_summary.txt")
+        assert wrote == "wrote 15 rows to %s\n" % path
+
+
+class TestClosedPipe:
+    def test_exits_141_and_prints_nothing(self, chest_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bnbench.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bnbench.cli", "infer", "--network", chest_file],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestUsage:
