@@ -20,7 +20,8 @@ single OpCounter.  Shared conventions that the counting targets pin down:
 Every domain an engine meets follows from the tree, its assignments and
 the domains of the potentials, never from their values.  So each run
 executes a plan (:class:`_Plan`): a flat list of steps over numbered
-slots, each an op kind (multiply, marginalize, divide or copy), its output
+slots, each an op kind (multiply, marginalize, divide or copy, and
+multiply or divide in place), its output
 and operand slots and its kernel plan (``marginalize_plan`` for a
 marginalization, else ``multiply_plan``), plus the slots where node tables
 and messages end and each variable's extraction step.
@@ -32,6 +33,18 @@ come from one build, keyed on the potentials' domains; SS has its own,
 keyed on the targets and those domains.  A plan holds no numbers, so every
 counted operation is still performed and charged on every run.
 :func:`bnbench.compile.assign_potentials` drops a tree's plans.
+
+Ownership: LS and Hugin multiply into node tables in place, and LS divides
+a sender's table in place on an inward send, which saves allocating a new
+table per step.  The builder marks such steps only for a
+node whose table no other slot can share.  A table starts as a fresh copy
+(the free load), and a product or quotient into it writes a table only its
+node holds, with two exceptions, both nodes whose domain equals the
+separator to some neighbor: a take from such a node that sums out no axis
+is the table itself, and so is the Hugin register that keeps it; and
+Hugin's leaf served by a register is that register.  Their steps are never
+in place.  Input potentials are never written, and with ``on_step`` the
+hook gets copies of the tables, so what it keeps stays as it was.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from bnbench.compile import JoinTree, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.network import BayesNet
 from bnbench.potentials import (
+    Potential,
     divide,
     embed,
     identity_over,  # unused here; kept because perfbench's tracer binds engines.identity_over
@@ -116,7 +130,8 @@ def _cached(tree: JoinTree, kind: str, key, build):
 # Step kinds.  A step ``(kind, out, a, b, kernel plan)`` sets slot ``out``
 # to a * b, to a marginalized, to a / b, or to a itself (copy).  A product
 # whose slot a is empty is the free load: b embedded over the plan's domain.
-_MULTIPLY, _MARGINALIZE, _DIVIDE, _COPY = range(4)
+# The two in-place kinds write a * b or a / b into a's own table (out == a).
+_MULTIPLY, _MARGINALIZE, _DIVIDE, _COPY, _MULTIPLY_IN, _DIVIDE_IN = range(6)
 
 
 class _Plan(NamedTuple):
@@ -141,24 +156,24 @@ class _Plan(NamedTuple):
 def _execute(steps, vals: list, counter: OpCounter):
     """Run ``steps`` over the slots ``vals``; each kernel is looked up by name at its call."""
     for kind, out, a, b, plan in steps:
-        if kind == _MULTIPLY:
-            if vals[a] is None:
-                vals[out] = embed(vals[b], plan[0], None, plan)
-            else:
-                vals[out] = multiply(vals[a], vals[b], counter, plan)
-        elif kind == _MARGINALIZE:
+        if kind == _MARGINALIZE:
             vals[out] = marginalize(vals[a], plan[0], counter, plan)
-        elif kind == _DIVIDE:
-            vals[out] = divide(vals[a], vals[b], counter, plan)
-        else:
+        elif kind == _COPY:
             vals[out] = vals[a]
+        elif kind == _DIVIDE or kind == _DIVIDE_IN:
+            vals[out] = divide(vals[a], vals[b], counter, plan, kind == _DIVIDE_IN)
+        elif vals[a] is None:
+            vals[out] = embed(vals[b], plan[0], None, plan)
+        else:
+            vals[out] = multiply(vals[a], vals[b], counter, plan, kind == _MULTIPLY_IN)
 
 
 def _run(arch: str, tree: JoinTree, potentials, targets, plan: _Plan, on_step=None) -> EngineResult:
     """Execute ``plan`` on ``potentials``, then extract and normalize each target's marginal.
 
     With ``on_step``, the steps run in segments between the marks, and the
-    hook sees the node tables and registers held after each segment.
+    hook sees copies of the node tables, and the registers, held after each
+    segment.  No register is ever written in place.
     """
     counter = OpCounter()
     vals = list(potentials) + [None] * (plan.size - len(potentials))
@@ -167,7 +182,11 @@ def _run(arch: str, tree: JoinTree, potentials, targets, plan: _Plan, on_step=No
         for phase, a, b, end in plan.marks:
             _execute(plan.steps[done:end], vals, counter)
             done = end
-            tables = {n: vals[s] for n, s in plan.nodes.items() if vals[s] is not None}
+            tables = {
+                n: Potential(vals[s].domain, vals[s].values.copy())
+                for n, s in plan.nodes.items()
+                if vals[s] is not None
+            }
             store = {e: vals[s] for e, s in plan.messages.items() if vals[s] is not None}
             on_step(phase, a, b, tables, store)
     _execute(plan.steps[done:], vals, counter)
@@ -195,17 +214,21 @@ def _build_table_plans(tree: JoinTree, potentials):
     which Hugin register is written, follows from the assignments alone, so
     a silent sender emits no step.  After the inputs and the extraction slot
     come the message slot, Hugin's quotient slot, one table slot per node
-    and one register slot per edge.
+    and one register slot per edge.  Products into, and LS quotients of, a
+    node's table are in place unless the node's domain equals a separator
+    (the ownership rule in the module docstring).
     """
     nodes, cards, k = tree.nodes, tree.cards, len(potentials)
     msg, quo = k + 1, k + 2
     table = {n: k + 3 + i for i, n in enumerate(sorted(nodes))}
     register = {e: k + 3 + len(nodes) + i for i, e in enumerate(tree.edges())}
+    shared = {n for (n, _), sep in tree.separators.items() if len(sep) == len(nodes[n])}
+    mult = {n: _MULTIPLY if n in shared else _MULTIPLY_IN for n in nodes}
     init, has_table = [], set()
     for n in sorted(nodes):
         for i in tree.assignments.get(n, ()):
             has_table.add(n)
-            init.append((_MULTIPLY, table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
+            init.append((mult[n], table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
     over = {}  # (node, edge) -> the plan of node's table with a message over edge's separator
 
     def plan_over(n, e, sep):
@@ -223,17 +246,18 @@ def _build_table_plans(tree: JoinTree, potentials):
         inward = parent[a] == b
         take = (_MARGINALIZE, msg, table[a], None, marginalize_plan(nodes[a], sep))
         into = plan_over(b, e, sep)
-        ls += (take, (_MULTIPLY, table[b], table[b], msg, into))
+        ls += (take, (mult[b], table[b], table[b], msg, into))
         if inward:
-            ls.append((_DIVIDE, table[a], table[a], msg, plan_over(a, e, sep)))
+            div = _DIVIDE if a in shared else _DIVIDE_IN
+            ls.append((div, table[a], table[a], msg, plan_over(a, e, sep)))
         hugin.append(take)
         if not inward and tree.degree(b) == 1 and nodes[b] == sep and len(sep) > 1:
             hugin.append((_COPY, table[b], msg, None, None))  # a leaf served by the register
         elif e in written:
             hugin.append((_DIVIDE, quo, msg, register[e], multiply_plan(sep, sep, cards)))
-            hugin.append((_MULTIPLY, table[b], table[b], quo, into))
+            hugin.append((mult[b], table[b], table[b], quo, into))
         else:
-            hugin.append((_MULTIPLY, table[b], table[b], msg, into))
+            hugin.append((mult[b], table[b], table[b], msg, into))
         hugin.append((_COPY, register[e], msg, None, None))
         marks.append(("inward" if inward else "outward", a, b, len(hugin)))
         has_table.add(b)

@@ -38,8 +38,10 @@ from bnbench.counting import OpCounter
 from bnbench.engines import (
     _COPY,
     _DIVIDE,
+    _DIVIDE_IN,
     _MARGINALIZE,
     _MULTIPLY,
+    _MULTIPLY_IN,
     EngineResult,
     _check_assignments,
     _designated,
@@ -673,7 +675,9 @@ def step_counts(tree: JoinTree, plan, potentials, targets) -> tuple:
     cells as multiplications, a marginalization that sums out some axes its
     input minus output cells as additions, and a quotient its numerator
     cells as divisions.  A product into an empty slot (the free load) and a
-    copy are free; any other step kind fails.
+    copy are free; an in-place product or quotient counts as the one it is,
+    and must write its first operand's slot over that slot's own domain.
+    Any other step kind fails.
     """
 
     def cells(dom):
@@ -682,6 +686,9 @@ def step_counts(tree: JoinTree, plan, potentials, targets) -> tuple:
     doms = [p.domain for p in potentials] + [None] * (plan.size - len(potentials))
     adds = mults = divs = 0
     for kind, out, a, b, kernel_plan in list(plan.steps) + [plan.extract[x] for x in targets]:
+        if kind in (_MULTIPLY_IN, _DIVIDE_IN):
+            assert out == a and (doms[a] is None or set(doms[b]) <= set(doms[a]))
+            kind = _MULTIPLY if kind == _MULTIPLY_IN else _DIVIDE
         if kind == _MULTIPLY and doms[a] is None:
             dom = kernel_plan[0]
             assert set(doms[b]) <= set(dom)

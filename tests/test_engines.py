@@ -9,7 +9,14 @@ from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
 from bnbench.generate import GenParams, random_case
 from bnbench.network import BayesNet, input_potentials, joint_oracle, oracle_marginals
-from bnbench.potentials import Potential, PotentialError, Variable, make_potential, marginalize
+from bnbench.potentials import (
+    BIG_CELLS,
+    Potential,
+    PotentialError,
+    Variable,
+    make_potential,
+    marginalize,
+)
 from helpers import (
     MarkedIdentity,
     from_values,
@@ -506,6 +513,74 @@ class TestFreeLoad:
         comp = compile_structures(*random_case(LONG, 0))
         self._assert_ss_never_loads(comp)
         self._assert_one_free_load_per_node(comp, monkeypatch, (158, 679))
+
+
+def _snapshot(tables: dict) -> dict:
+    return {k: None if t is None else (t.domain, t.values.tobytes()) for k, t in tables.items()}
+
+
+# Networks with tables on both sides of potentials.BIG_CELLS: up to six
+# states per variable and families of up to four.
+_MIXED_SIZES = (
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 12),
+    st.integers(2, 6),
+    st.integers(2, 4),
+)
+
+
+class TestInPlaceOwnership:
+    """LS and Hugin write a node table in place only where that node alone holds it.
+
+    The hook, separator and wide tests fail when every product or quotient
+    whose output slot is its first operand's is written in place, or when
+    the hook is handed the live tables.  The inputs test fails when a free
+    load hands a node an input's own array.
+    """
+
+    @given(*_MIXED_SIZES)
+    @settings(max_examples=40, deadline=None)
+    def test_inputs_never_mutated(self, seed, n, c2, m):
+        comp = compile_structures(*random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0))
+        before = [(p.domain, p.values.tobytes()) for p in comp.potentials]
+        for tree in (comp.junction, comp.binary):
+            for run in (ls_run, hugin_run, ss_run):
+                run(tree, comp.potentials)
+                assert [(p.domain, p.values.tobytes()) for p in comp.potentials] == before
+
+    @given(*_MIXED_SIZES)
+    @settings(max_examples=40, deadline=None)
+    def test_hook_arguments_stay_as_seen(self, seed, n, c2, m):
+        comp = compile_structures(*random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0))
+        for tree in (comp.junction, comp.binary):
+            kept = []
+
+            def keep(phase, sender, receiver, tables, store):
+                kept.append((tables, store, _snapshot(tables), _snapshot(store)))
+
+            hugin_run(tree, comp.potentials, on_step=keep)
+            assert kept or len(tree.nodes) == 1
+            for tables, store, seen_tables, seen_store in kept:
+                assert _snapshot(tables) == seen_tables
+                assert _snapshot(store) == seen_store
+
+    @given(*_MIXED_SIZES)
+    @settings(max_examples=40, deadline=None)
+    def test_node_equal_to_its_separator(self, seed, n, c2, m):
+        comp = compile_structures(*random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0))
+        tree = comp.binary
+        # a node of two or more variables whose whole domain is a separator
+        assume(any(len(sep) > 1 and sep == tree.nodes[u] for (u, _), sep in tree.separators.items()))
+        _assert_ls_hugin_match_references(tree, comp.potentials, None)
+
+    def test_wide_trial(self):
+        comp = compile_structures(*random_case(WIDE, 0))
+        before = [(p.domain, p.values.tobytes()) for p in comp.potentials]
+        assert max(comp.junction.spaces.values()) >= BIG_CELLS
+        for tree in (comp.junction, comp.binary):
+            _assert_ls_hugin_match_references(tree, comp.potentials, None)
+            ss_run(tree, comp.potentials)
+        assert [(p.domain, p.values.tobytes()) for p in comp.potentials] == before
 
 
 def _assert_architectures_agree(params, trial):

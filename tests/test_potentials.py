@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bnbench.counting import OpCounter
 from bnbench.potentials import (
+    BIG_CELLS,
     InconsistencyError,
     Potential,
     PotentialError,
@@ -418,6 +421,111 @@ def _same(got, want, c_got=None, c_want=None):
     assert np.array_equal(got.values, want.values)
     if c_got is not None:
         assert c_got.as_tuple() == c_want.as_tuple()
+
+
+@st.composite
+def sized_domains(draw, big):
+    """Cardinalities, a domain of at least ``BIG_CELLS`` cells (``big``) or fewer, a kept subset, a seed.
+
+    The domain lists up to eight variables in random order, at most 2**16
+    cells when big and from 2**9 cells when not, so both sides of the
+    cutoff are drawn close to it.
+    """
+    n = draw(st.integers(1, 8))
+    cards = {v: draw(st.integers(2, 6)) for v in range(n)}
+    dom = list(draw(st.permutations(range(n))))
+    size = math.prod(cards.values())
+    while size >= (1 << 16 if big else BIG_CELLS):
+        size //= cards[dom.pop()]
+    while size < (BIG_CELLS if big else 1 << 9):
+        cards[len(cards)] = draw(st.integers(2, 6))
+        dom.insert(draw(st.integers(0, len(dom))), len(cards) - 1)
+        size *= cards[len(cards) - 1]
+    assume(size < BIG_CELLS or big)
+    keep = tuple(v for v in dom if draw(st.booleans()))
+    return cards, tuple(dom), keep, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBigTableReductions:
+    """Tables of at least ``BIG_CELLS`` cells are summed one run of adjacent axes at a time.
+
+    The sums add in another order than numpy's one-call sum, so they are
+    held to float64 rounding: for k cells summed into an output cell, each
+    way is within (k - 1) * 2**-53 * sum|x| of the exact sum, so the two
+    differ by at most k * 2**-52 * sum|x|.  Smaller tables keep the one
+    call, bit for bit.
+    """
+
+    @given(sized_domains(big=True), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_within_rounding_of_the_one_call_sum(self, case, fortran):
+        cards, dom, keep, seed = case
+        a = Potential(dom, _layout(_table(np.random.default_rng(seed), dom, cards), fortran))
+        c_got, c_want = OpCounter(), OpCounter()
+        got, want = marginalize(a, keep, c_got), reference_marginalize(a, keep, c_want)
+        assert got.domain == want.domain
+        assert c_got.as_tuple() == c_want.as_tuple()
+        k = a.size // want.size
+        mass = reference_marginalize(Potential(dom, np.abs(a.values)), keep, OpCounter()).values
+        assert np.all(np.abs(got.values - want.values) <= k * 2.0**-52 * mass)
+
+    @given(sized_domains(big=False), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_below_the_cutoff_bit_identical(self, case, fortran):
+        cards, dom, keep, seed = case
+        a = Potential(dom, _layout(_table(np.random.default_rng(seed), dom, cards), fortran))
+        c_got, c_want = OpCounter(), OpCounter()
+        got, want = marginalize(a, keep, c_got), reference_marginalize(a, keep, c_want)
+        assert got.domain == want.domain
+        assert got.values.strides == want.values.strides
+        assert np.array_equal(got.values, want.values)
+        assert c_got.as_tuple() == c_want.as_tuple()
+
+
+class TestProductLayout:
+    """A product of at least ``BIG_CELLS`` cells is C-ordered; a smaller one keeps numpy's layout."""
+
+    @given(two_domains(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_multiply(self, case, fortran):
+        cards, a_dom, b_dom, seed = case
+        # six to eight states: products of four variables or more reach the cutoff
+        cards = {v: c + 4 for v, c in cards.items()}
+        rng = np.random.default_rng(seed)
+        a = Potential(a_dom, _layout(_table(rng, a_dom, cards), fortran))
+        b = Potential(b_dom, _layout(_table(rng, b_dom, cards), fortran))
+        plan = multiply_plan(a_dom, b_dom, cards)
+        dom, a_shape, b_perm, b_shape, _ = plan
+        plain = a.values.reshape(a_shape) * _view(b.values, b_perm, b_shape)
+        for out in (multiply(a, b, OpCounter()), multiply(a, b, OpCounter(), plan)):
+            assert out.domain == dom
+            assert np.array_equal(out.values, plain)
+            if out.size >= BIG_CELLS:
+                assert out.values.flags.c_contiguous
+            else:
+                assert out.values.strides == plain.strides
+
+
+class TestInPlaceKernels:
+    """``inplace`` writes the product or quotient into the first operand, bit for bit the same."""
+
+    @given(nested_domains(), st.sampled_from([0.0, 0.4]))
+    @settings(max_examples=200, deadline=None)
+    def test_multiply_and_divide(self, case, zeros):
+        cards, outer, inner, seed = case
+        rng = np.random.default_rng(seed)
+        b = Potential(inner, _table(rng, inner, cards, zeros))
+        num = np.broadcast_to(reference_expand(b, outer), tuple(cards[v] for v in outer))
+        a_vals = np.where(num == 0.0, 0.0, _table(rng, outer, cards))
+        plan = multiply_plan(outer, inner, cards)
+        for kernel in (multiply, divide):
+            want = kernel(Potential(outer, a_vals.copy()), b, OpCounter(), plan)
+            a = Potential(outer, a_vals.copy())
+            c_got = OpCounter()
+            got = kernel(a, b, c_got, plan, True)
+            assert got is a
+            assert np.array_equal(a.values, want.values)
+            assert c_got.as_tuple() == ((0, a.size, 0) if kernel is multiply else (0, 0, a.size))
 
 
 class TestPlannedKernelsMatchUnplanned:
