@@ -58,11 +58,12 @@ class JoinTree:
 
     ``plans`` holds the engines' propagation plans, each a flat step list
     over numbered slots (see :mod:`bnbench.engines`), built on a tree's
-    first run: the LS and the Hugin plan, built together and keyed on the
-    domains of the potentials, and the SS plan, keyed on the targets and
-    those domains.  Each is kept with the ``assignments`` it was built for.
-    A run whose key or assignments differ builds a new plan in place of the
-    old one, and :func:`assign_potentials` drops every plan.
+    first run: the LS and the Hugin plan, built together, and the SS plan,
+    each keyed on the targets and the domains of the potentials and kept
+    with the ``assignments`` it was built for.  A run whose key or
+    assignments differ (:func:`assign_potentials` sets new ones) builds a
+    new plan in place of the old one.  Assignments are matched by identity,
+    so code that changes them sets a new dict instead of editing this one.
     """
 
     kind: str
@@ -86,12 +87,6 @@ class JoinTree:
 
     def statespace(self, nid):
         return self.spaces[nid]
-
-    def sep_statespace(self, u, v):
-        return self.sep_spaces[u, v]
-
-    def degree(self, nid):
-        return len(self.adj[nid])
 
     @cached_property
     def spaces(self) -> dict:
@@ -412,8 +407,8 @@ def junction_tree(bjt: JoinTree) -> JoinTree:
 def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
     """Attach each potential to the smallest containing node (ties: lowest id).
 
-    Drops the tree's propagation plans, which were built for the old
-    assignments.
+    The new assignments are a new dict, so the engines build new plans
+    for them on the tree's next run.
     """
     holders, spaces = tree.holders, tree.spaces
     assignments = {}
@@ -425,7 +420,6 @@ def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
             raise CompileError("potential domain %r fits no tree node" % (pot.domain,))
         assignments.setdefault(min(hosts, key=lambda n: (spaces[n], n)), []).append(i)
     tree.assignments = assignments
-    tree.plans.clear()
     return tree
 
 

@@ -22,11 +22,3 @@ class OpCounter:
 
     def as_tuple(self):
         return (self.adds, self.mults, self.divs)
-
-    def __str__(self):
-        return "adds=%d mults=%d divs=%d total=%d" % (
-            self.adds,
-            self.mults,
-            self.divs,
-            self.total(),
-        )

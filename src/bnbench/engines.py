@@ -13,7 +13,7 @@ single OpCounter.  Shared conventions that the counting targets pin down:
   receiver skips the product.  A vacuous SS message is stored as None.
 * Root selection, child ordering, tie-breaks, and fold orders are all fixed,
   so counters are bit-reproducible.
-* One precondition, checked in the shared prologue: at least one potential,
+* One precondition, checked when a plan is built: at least one potential,
   each placed on exactly one node, on a connected tree.  Every table,
   register and product an engine reads after the message loop then exists.
 
@@ -23,16 +23,18 @@ executes a plan (:class:`_Plan`): a flat list of steps over numbered
 slots, each an op kind (multiply, marginalize, divide or copy, and
 multiply or divide in place), its output
 and operand slots and its kernel plan (``marginalize_plan`` for a
-marginalization, else ``multiply_plan``), plus the slots where node tables
-and messages end and each variable's extraction step.
+marginalization, else ``multiply_plan``), plus the slots where node tables,
+messages and each target's marginal end.  The last steps marginalize each
+target's source onto it.
 The three architectures differ only in the steps their builders emit; one
 executor, :func:`_execute`, runs them all and is the only caller of the
-counted kernels.  Plans are built on a tree's first run and kept in
-``JoinTree.plans`` with the assignments they were built for.  LS and Hugin
-come from one build, keyed on the potentials' domains; SS has its own,
-keyed on the targets and those domains.  A plan holds no numbers, so every
+counted kernels.  Every run checks its targets, fetches its plan, executes
+all the plan's steps and normalizes the marginal slots.  Plans are kept in
+``JoinTree.plans``, keyed on the targets and the potentials' domains, with
+the assignments they were built for; a run whose key or assignments differ
+builds a new plan, and the precondition is checked only then.  LS and Hugin
+come from one build; SS has its own.  A plan holds no numbers, so every
 counted operation is still performed and charged on every run.
-:func:`bnbench.compile.assign_potentials` drops a tree's plans.
 
 Ownership: LS and Hugin multiply into node tables in place, and LS divides
 a sender's table in place on an inward send, which saves allocating a new
@@ -104,26 +106,27 @@ def _edge_key(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def _designated(tree: JoinTree, x: int) -> int:
-    """Smallest-state-space node containing x; ties by lowest id."""
-    if x not in tree.designated:
-        raise EngineError("variable %r absent from every tree node" % x)
-    return tree.designated[x]
-
-
 def _targets(tree: JoinTree, targets):
     """The targets in ascending order, every variable by default; each must lie in a node."""
     targets = sorted(tree.cards) if targets is None else sorted(set(targets))
     for x in targets:
-        _designated(tree, x)
+        if x not in tree.designated:
+            raise EngineError("variable %r absent from every tree node" % x)
     return targets
 
 
-def _cached(tree: JoinTree, kind: str, key, build):
-    """The tree's ``kind`` plan for ``key`` and its current assignments; built when it has none."""
+def _plan(tree: JoinTree, kind: str, potentials, targets, build):
+    """The tree's ``kind`` plan for ``targets``, the potentials' domains and the assignments.
+
+    When the tree keeps none, the inputs are checked and ``build(tree,
+    potentials, targets)`` makes one; a kept plan's inputs passed that
+    check when it was built.
+    """
+    key = (targets, tuple(p.domain for p in potentials))
     entry = tree.plans.get(kind)
     if entry is None or entry[1] is not tree.assignments or entry[0] != key:
-        entry = tree.plans[kind] = (key, tree.assignments, build())
+        _check_assignments(tree, potentials)
+        entry = tree.plans[kind] = (key, tree.assignments, build(tree, potentials, targets))
     return entry[2]
 
 
@@ -137,11 +140,11 @@ _MULTIPLY, _MARGINALIZE, _DIVIDE, _COPY, _MULTIPLY_IN, _DIVIDE_IN = range(6)
 class _Plan(NamedTuple):
     """The steps of one run over numbered slots, and where its results end.
 
-    Slots ``0..k-1`` hold the k input potentials and slot k each target's
-    extracted marginal in turn; every other slot starts empty.  ``nodes``:
-    node -> slot of its table or marginal.  ``messages``: message or Hugin
-    register key -> slot, None for a vacuous SS message.  ``extract``:
-    variable -> the step marginalizing its source onto it.  ``marks``:
+    Slots ``0..k-1`` hold the k input potentials; every other slot starts
+    empty.  ``nodes``: node -> slot of its table or marginal.  ``messages``:
+    message or Hugin register key -> slot, None for a vacuous SS message.
+    ``marginals``: target -> the slot of its marginal, which :func:`_run`
+    normalizes after the steps, in ascending target order.  ``marks``:
     ``(phase, sender, receiver, steps done)`` after each Hugin send.
     """
 
@@ -149,7 +152,7 @@ class _Plan(NamedTuple):
     steps: list
     nodes: dict
     messages: dict
-    extract: dict
+    marginals: dict
     marks: list
 
 
@@ -168,8 +171,8 @@ def _execute(steps, vals: list, counter: OpCounter):
             vals[out] = multiply(vals[a], vals[b], counter, plan, kind == _MULTIPLY_IN)
 
 
-def _run(arch: str, tree: JoinTree, potentials, targets, plan: _Plan, on_step=None) -> EngineResult:
-    """Execute ``plan`` on ``potentials``, then extract and normalize each target's marginal.
+def _run(arch: str, tree: JoinTree, potentials, plan: _Plan, on_step=None) -> EngineResult:
+    """Execute ``plan`` on ``potentials``, then normalize each target's marginal in its slot.
 
     With ``on_step``, the steps run in segments between the marks, and the
     hook sees copies of the node tables, and the registers, held after each
@@ -190,38 +193,31 @@ def _run(arch: str, tree: JoinTree, potentials, targets, plan: _Plan, on_step=No
             store = {e: vals[s] for e, s in plan.messages.items() if vals[s] is not None}
             on_step(phase, a, b, tables, store)
     _execute(plan.steps[done:], vals, counter)
-    marginals = {}
-    for x in targets:
-        step = plan.extract[x]
-        _execute((step,), vals, counter)
-        marginals[x] = normalize(vals[step[1]])
+    for s in plan.marginals.values():
+        vals[s] = normalize(vals[s])
+    marginals = {x: vals[s] for x, s in plan.marginals.items()}
     nodes = {n: vals[s] for n, s in plan.nodes.items()}
     messages = {k: None if s is None else vals[s] for k, s in plan.messages.items()}
     return EngineResult(arch, tree.kind, marginals, nodes, counter, messages)
 
 
-def _table_plans(tree: JoinTree, potentials):
-    key = tuple(p.domain for p in potentials)
-    return _cached(tree, "ls/hugin", key, lambda: _build_table_plans(tree, potentials))
-
-
-def _build_table_plans(tree: JoinTree, potentials):
+def _build_table_plans(tree: JoinTree, potentials, targets):
     """The LS and the Hugin plan of one tree, emitted in one pass over ``tree.sends``.
 
     Every table spans its node's sorted domain and every message its
     separator.  Loads and absorbs are all products; one into a node with no
     table yet is the free load.  Which node has a table at each send, and
     which Hugin register is written, follows from the assignments alone, so
-    a silent sender emits no step.  After the inputs and the extraction slot
-    come the message slot, Hugin's quotient slot, one table slot per node
-    and one register slot per edge.  Products into, and LS quotients of, a
-    node's table are in place unless the node's domain equals a separator
-    (the ownership rule in the module docstring).
+    a silent sender emits no step.  After the inputs come the message slot,
+    Hugin's quotient slot, one table slot per node, one register slot per
+    edge and one marginal slot per target.  Products into, and LS quotients
+    of, a node's table are in place unless the node's domain equals a
+    separator (the ownership rule in the module docstring).
     """
     nodes, cards, k = tree.nodes, tree.cards, len(potentials)
-    msg, quo = k + 1, k + 2
-    table = {n: k + 3 + i for i, n in enumerate(sorted(nodes))}
-    register = {e: k + 3 + len(nodes) + i for i, e in enumerate(tree.edges())}
+    msg, quo = k, k + 1
+    table = {n: k + 2 + i for i, n in enumerate(sorted(nodes))}
+    register = {e: k + 2 + len(nodes) + i for i, e in enumerate(tree.edges())}
     shared = {n for (n, _), sep in tree.separators.items() if len(sep) == len(nodes[n])}
     mult = {n: _MULTIPLY if n in shared else _MULTIPLY_IN for n in nodes}
     init, has_table = [], set()
@@ -251,7 +247,7 @@ def _build_table_plans(tree: JoinTree, potentials):
             div = _DIVIDE if a in shared else _DIVIDE_IN
             ls.append((div, table[a], table[a], msg, plan_over(a, e, sep)))
         hugin.append(take)
-        if not inward and tree.degree(b) == 1 and nodes[b] == sep and len(sep) > 1:
+        if not inward and len(tree.adj[b]) == 1 and nodes[b] == sep and len(sep) > 1:
             hugin.append((_COPY, table[b], msg, None, None))  # a leaf served by the register
         elif e in written:
             hugin.append((_DIVIDE, quo, msg, register[e], multiply_plan(sep, sep, cards)))
@@ -262,15 +258,18 @@ def _build_table_plans(tree: JoinTree, potentials):
         marks.append(("inward" if inward else "outward", a, b, len(hugin)))
         has_table.add(b)
         written.add(e)
-    node_extract = {
-        x: (_MARGINALIZE, k, table[d], None, marginalize_plan(nodes[d], (x,)))
-        for x, d in tree.designated.items()
-    }
-    sep_extract = dict(node_extract)
-    for x, (_, edge) in tree.best_separators.items():
-        sep_extract[x] = (_MARGINALIZE, k, register[edge], None, marginalize_plan(tree.separator(*edge), (x,)))
-    size = k + 3 + len(nodes) + len(register)
-    return _Plan(size, ls, table, {}, node_extract, []), _Plan(size, hugin, table, register, sep_extract, marks)
+    first = k + 2 + len(nodes) + len(register)
+    marginals = {x: first + i for i, x in enumerate(targets)}
+    for x, out in marginals.items():
+        d = tree.designated[x]
+        ls.append((_MARGINALIZE, out, table[d], None, marginalize_plan(nodes[d], (x,))))
+        best = tree.best_separators.get(x)
+        if best is None:
+            hugin.append(ls[-1])
+        else:
+            hugin.append((_MARGINALIZE, out, register[best[1]], None, marginalize_plan(tree.separator(*best[1]), (x,))))
+    size = first + len(targets)
+    return _Plan(size, ls, table, {}, marginals, []), _Plan(size, hugin, table, register, marginals, marks)
 
 
 def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
@@ -282,9 +281,8 @@ def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     message; the outward sends divide nothing.
     Singleton marginals come from a smallest containing clique.
     """
-    _check_assignments(tree, potentials)
-    targets = _targets(tree, targets)
-    return _run("ls", tree, potentials, targets, _table_plans(tree, potentials)[0])
+    plans = _plan(tree, "ls/hugin", potentials, _targets(tree, targets), _build_table_plans)
+    return _run("ls", tree, potentials, plans[0])
 
 
 def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineResult:
@@ -305,9 +303,8 @@ def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineR
     every message for invariant instrumentation; ``phase`` is ``"inward"``
     when the receiver is the sender's parent, else ``"outward"``.
     """
-    _check_assignments(tree, potentials)
-    targets = _targets(tree, targets)
-    return _run("hugin", tree, potentials, targets, _table_plans(tree, potentials)[1], on_step)
+    plans = _plan(tree, "ls/hugin", potentials, _targets(tree, targets), _build_table_plans)
+    return _run("hugin", tree, potentials, plans[1], on_step)
 
 
 def _fold(steps: list, parts, out: int, cards: dict):
@@ -333,13 +330,13 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
     """
     cards = tree.cards
     root, _, postorder, parent, _ = tree.rooting
-    designated = {x: _designated(tree, x) for x in targets}
+    designated = tree.designated
     via = {}
     for x in targets:
         best = tree.best_separators.get(x)
         if best is not None and best[0] < tree.statespace(designated[x]):
             via[x] = best[1]
-    sinks = set(designated.values()).union(*via.values())
+    sinks = {designated[x] for x in targets}.union(*via.values())
     below = dict.fromkeys(postorder, 0)
     for n in sinks:
         below[n] = 1
@@ -347,8 +344,7 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
         if n != root:
             below[parent[n]] += below[n]
 
-    k = len(potentials)
-    steps, held, fresh = [], {}, k + 1
+    steps, held, fresh = [], {}, len(potentials)
     # With any sink, every node is one or sends toward one, so needs its own potential.
     if below[root]:
         for n in sorted(tree.nodes):
@@ -388,7 +384,7 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
         held[e] = slot, dom
         messages[e] = slot
 
-    nodes, seps, extract = {}, {}, {}
+    nodes, seps, marginals = {}, {}, {}
     for x in targets:
         d = designated[x]
         if d not in nodes:
@@ -402,8 +398,10 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
                 seps[edge] = _fold(steps, [m for m in (held[u, v], held[v, u]) if m is not None], fresh, cards)
                 fresh += 1
             slot, dom = seps[edge]
-        extract[x] = (_MARGINALIZE, k, slot, None, marginalize_plan(dom, (x,)))
-    return _Plan(fresh, steps, {d: slot for d, (slot, _) in nodes.items()}, messages, extract, [])
+        steps.append((_MARGINALIZE, fresh, slot, None, marginalize_plan(dom, (x,))))
+        marginals[x] = fresh
+        fresh += 1
+    return _Plan(fresh, steps, {d: slot for d, (slot, _) in nodes.items()}, messages, marginals, [])
 
 
 def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
@@ -431,18 +429,15 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     node marginal is already the answer.
 
     No uniform stand-in is needed.  Every message toward a sink is sent, and
-    on a connected tree with at least one potential (the prologue's check)
-    the two sides of any edge together hold one, so a node marginal and a
-    separator product are never None.  Each contains its variable x, as
-    long as some potential mentions x (x's CPT does): running intersection
-    keeps x in every node and separator on the path from that potential's
-    node, so the message along that path carries x.
+    on a connected tree with at least one potential (checked when the plan
+    is built) the two sides of any edge together hold one, so a node
+    marginal and a separator product are never None.  Each contains its
+    variable x, as long as some potential mentions x (x's CPT does): running
+    intersection keeps x in every node and separator on the path from that
+    potential's node, so the message along that path carries x.
     """
-    _check_assignments(tree, potentials)
-    targets = _targets(tree, targets)
-    key = (tuple(targets), tuple(p.domain for p in potentials))
-    plan = _cached(tree, "ss", key, lambda: _build_ss_plan(tree, potentials, targets))
-    return _run("ss", tree, potentials, targets, plan)
+    plan = _plan(tree, "ss", potentials, _targets(tree, targets), _build_ss_plan)
+    return _run("ss", tree, potentials, plan)
 
 
 def run_all(net: BayesNet, evidence: dict, targets=None) -> dict:

@@ -187,7 +187,7 @@ def tree_dump(tree: JoinTree, names: dict = None) -> str:
     for u, v in tree.edges():
         lines.append(
             "edge (%d,%d): separator %s statespace=%d"
-            % (u, v, label(tree.separator(u, v)), tree.sep_statespace(u, v))
+            % (u, v, label(tree.separator(u, v)), tree.sep_spaces[u, v])
         )
     return "\n".join(lines) + "\n"
 

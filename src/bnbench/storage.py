@@ -48,7 +48,7 @@ def storage_report(arch: str, tree: JoinTree, net: BayesNet, evidence: dict, tar
         clique_fpn = sum(tree.spaces.values())
         separator_fpn = 0
         if arch == "hugin":
-            separator_fpn = sum(tree.sep_statespace(u, v) for u, v in tree.edges())
+            separator_fpn = sum(tree.sep_spaces[e] for e in tree.edges())
     elif arch == "ss":
         clique_fpn = 0
         if not tree.assignments:

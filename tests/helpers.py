@@ -44,7 +44,6 @@ from bnbench.engines import (
     _MULTIPLY_IN,
     EngineResult,
     _check_assignments,
-    _designated,
     _edge_key,
     _targets,
 )
@@ -525,7 +524,7 @@ def reference_ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     sep_products = {}
     marginals = {}
     for x in targets:
-        designated = _designated(tree, x)
+        designated = reference_designated(tree, x)
         node_marg = rule2(designated)
         source = None
         best = tree.best_separators.get(x)
@@ -602,7 +601,7 @@ def reference_ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
 
     marginals = {}
     for x in targets:
-        source = tables[_designated(tree, x)]
+        source = tables[reference_designated(tree, x)]
         marginals[x] = normalize(marginalize(source, (x,), counter))
     return EngineResult("ls", tree.kind, marginals, tables, counter, {})
 
@@ -645,7 +644,7 @@ def reference_hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) 
             key = _edge_key(n, c)
             sep = tree.separator(n, c)
             msg = marginalize(t, sep, counter)
-            if tree.degree(c) == 1 and tree.nodes[c] == sep and len(sep) > 1:
+            if len(tree.adj[c]) == 1 and tree.nodes[c] == sep and len(sep) > 1:
                 store[key] = msg
                 tables[c] = msg
             else:
@@ -662,22 +661,21 @@ def reference_hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) 
         if best is not None and store.get(best[1]) is not None:
             source = store[best[1]]
         else:
-            source = tables[_designated(tree, x)]
+            source = tables[reference_designated(tree, x)]
         marginals[x] = normalize(marginalize(source, (x,), counter))
     return EngineResult("hugin", tree.kind, marginals, tables, counter, store)
 
 
-def step_counts(tree: JoinTree, plan, potentials, targets) -> tuple:
-    """``(adds, mults, divs)`` of running an engine plan's steps and extracting ``targets``.
+def step_counts(tree: JoinTree, plan, potentials) -> tuple:
+    """``(adds, mults, divs)`` of running an engine plan's steps, its extractions included.
 
-    Walks the steps, and then each target's extraction step, tracking the
-    domain each slot holds; no table is built.  A product counts its output
-    cells as multiplications, a marginalization that sums out some axes its
-    input minus output cells as additions, and a quotient its numerator
-    cells as divisions.  A product into an empty slot (the free load) and a
-    copy are free; an in-place product or quotient counts as the one it is,
-    and must write its first operand's slot over that slot's own domain.
-    Any other step kind fails.
+    Walks the steps tracking the domain each slot holds; no table is built.
+    A product counts its output cells as multiplications, a marginalization
+    that sums out some axes its input minus output cells as additions, and a
+    quotient its numerator cells as divisions.  A product into an empty slot
+    (the free load) and a copy are free; an in-place product or quotient
+    counts as the one it is, and must write its first operand's slot over
+    that slot's own domain.  Any other step kind fails.
     """
 
     def cells(dom):
@@ -685,7 +683,7 @@ def step_counts(tree: JoinTree, plan, potentials, targets) -> tuple:
 
     doms = [p.domain for p in potentials] + [None] * (plan.size - len(potentials))
     adds = mults = divs = 0
-    for kind, out, a, b, kernel_plan in list(plan.steps) + [plan.extract[x] for x in targets]:
+    for kind, out, a, b, kernel_plan in plan.steps:
         if kind in (_MULTIPLY_IN, _DIVIDE_IN):
             assert out == a and (doms[a] is None or set(doms[b]) <= set(doms[a]))
             kind = _MULTIPLY if kind == _MULTIPLY_IN else _DIVIDE

@@ -86,7 +86,7 @@ class TestChestBinaryTree:
 
     def test_every_degree_at_most_three(self, chest_comp):
         bjt = chest_comp.binary
-        assert max(bjt.degree(n) for n in bjt.nodes) <= 3
+        assert max(len(bjt.adj[n]) for n in bjt.nodes) <= 3
 
     def test_verifies_clean(self, chest_comp):
         assert verify_join_tree(chest_comp.binary) == []
@@ -115,7 +115,7 @@ class TestChestJunctionTree:
         assert seps == {
             (0, 1): (2,), (1, 5): (3, 5), (2, 3): (5,), (3, 5): (4, 5), (4, 5): (3, 4),
         }
-        assert sum(jt.sep_statespace(u, v) for u, v in jt.edges()) == 16
+        assert sum(jt.sep_spaces[e] for e in jt.edges()) == 16
 
     def test_statespace_total(self, chest_comp):
         jt = chest_comp.junction
@@ -383,9 +383,9 @@ class TestVerifyMatchesReference:
         moves = [
             (leaf, hub)
             for hub in sorted(tree.nodes)
-            if tree.degree(hub) == 3
+            if len(tree.adj[hub]) == 3
             for leaf in sorted(tree.nodes)
-            if tree.degree(leaf) == 1 and leaf not in tree.adj[hub]
+            if len(tree.adj[leaf]) == 1 and leaf not in tree.adj[hub]
         ]
         if not moves:
             return
@@ -407,7 +407,7 @@ class TestVerifyMatchesReference:
             moves = [
                 (leaf, u, v)
                 for leaf in ids
-                if tree.degree(leaf) == 1
+                if len(tree.adj[leaf]) == 1
                 for u in ids
                 for v in ids
                 if leaf not in (u, v) and u < v and v not in tree.adj[u]

@@ -356,9 +356,52 @@ class TestPlanReuse:
         assert len(others) < len(comp.potentials)
         for tree in (comp.junction, comp.binary):
             _assert_all_match_references(tree, comp.potentials)
+            old = dict(tree.plans)
             assign_potentials(tree, others)
-            assert tree.plans == {}
             _assert_all_match_references(tree, others)
+            assert sorted(tree.plans) == sorted(old)
+            for kind, (_, assignments, plan) in tree.plans.items():
+                assert assignments is tree.assignments and plan is not old[kind][2]
+
+    def test_refused_runs_keep_no_plan(self, chest_comp):
+        fresh = compile_structures(*random_case(GenParams(n=8, c2=2, m=3, p=3, seed=0), 0))
+        jt = chest_comp.junction
+        bare = JoinTree("junction", jt.nodes, jt.adj, jt.cards)  # no potential assigned
+        for tree, potentials in ((fresh.junction, []), (fresh.binary, []), (bare, chest_comp.potentials)):
+            for run in (ls_run, hugin_run, ss_run):
+                with pytest.raises(EngineError):
+                    run(tree, potentials)
+            assert tree.plans == {}
+
+    def test_a_kept_plan_is_not_checked_again(self, monkeypatch):
+        comp = compile_structures(*random_case(GenParams(n=30, c2=3, m=3, p=2, seed=7), 0))
+        checks = []
+        check = engines._check_assignments
+
+        def counting(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(engines, "_check_assignments", counting)
+        cases = ((comp.junction, (ls_run, hugin_run)), (comp.junction, (ss_run,)), (comp.binary, (ss_run,)))
+        for tree, runs in cases:
+            checks.clear()
+            for _ in range(2):
+                for run in runs:
+                    run(tree, comp.potentials)
+            assert len(checks) == 1
+
+    def test_new_targets_build_a_new_table_plan(self):
+        comp = compile_structures(*random_case(GenParams(n=30, c2=3, m=3, p=2, seed=8), 0))
+        for tree in (comp.junction, comp.binary):
+            last = None
+            for targets in (None, [7], [], [29, 3, 15, 3], None):
+                _assert_ls_hugin_match_references(tree, comp.potentials, targets)
+                chosen = sorted(tree.cards) if targets is None else sorted(set(targets))
+                plans = tree.plans["ls/hugin"][2]
+                assert plans is not last
+                assert [sorted(plan.marginals) for plan in plans] == [chosen, chosen]
+                last = plans
 
     def test_potentials_over_other_domains_build_a_new_plan(self):
         comp = compile_structures(*random_case(GenParams(n=30, c2=3, m=3, p=2, seed=5), 0))
@@ -392,9 +435,8 @@ class TestPlanReuse:
 def _assert_counts_follow_from_steps(tree, potentials, targets=None):
     ls, hugin, ss = (run(tree, potentials, targets) for run in (ls_run, hugin_run, ss_run))
     ls_plan, hugin_plan = tree.plans["ls/hugin"][2]
-    chosen = sorted(tree.cards) if targets is None else sorted(set(targets))
     for res, plan in ((ls, ls_plan), (hugin, hugin_plan), (ss, tree.plans["ss"][2])):
-        assert step_counts(tree, plan, potentials, chosen) == res.counter.as_tuple(), res.arch
+        assert step_counts(tree, plan, potentials) == res.counter.as_tuple(), res.arch
 
 
 class TestCountsFollowFromSteps:

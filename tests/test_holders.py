@@ -26,7 +26,7 @@ def _assert_index_matches_full_scans(comp):
         for u, v in edges:
             sep = reference_separator(tree, u, v)
             assert tree.separator(u, v) == tree.separator(v, u) == sep
-            assert tree.sep_statespace(u, v) == tree.sep_statespace(v, u) == reference_space(tree, sep)
+            assert tree.sep_spaces[u, v] == tree.sep_spaces[v, u] == reference_space(tree, sep)
         assert tree.holders == {x: [n for n in nodes if x in tree.nodes[n]] for x in tree.cards}
         root = reference_root(tree)
         preorder, postorder, parent, children = reference_orient(tree, root)
