@@ -36,17 +36,15 @@ builds a new plan, and the precondition is checked only then.  LS and Hugin
 come from one build; SS has its own.  A plan holds no numbers, so every
 counted operation is still performed and charged on every run.
 
-Ownership: LS and Hugin multiply into node tables in place, and LS divides
-a sender's table in place on an inward send, which saves allocating a new
-table per step.  The builder marks such steps only for a
-node whose table no other slot can share.  A table starts as a fresh copy
-(the free load), and a product or quotient into it writes a table only its
-node holds, with two exceptions, both nodes whose domain equals the
-separator to some neighbor: a take from such a node that sums out no axis
-is the table itself, and so is the Hugin register that keeps it; and
-Hugin's leaf served by a register is that register.  Their steps are never
-in place.  Input potentials are never written, and with ``on_step`` the
-hook gets copies of the tables, so what it keeps stays as it was.
+Ownership: every table has one owner.  No kernel returns an operand's
+table (a marginalization that sums out nothing copies), a free load embeds
+a fresh copy, and a register keeps the message it is given, a table no
+step writes.  So each node table is its node's alone, and every LS and
+Hugin product into it, and every LS quotient of it, is written in place.
+Hugin's leaf served by a register shares that register's table; it
+receives nothing after that.  Input potentials are never written, and with
+``on_step`` the hook gets copies of the tables, so what it keeps stays as
+it was.
 """
 
 from __future__ import annotations
@@ -141,8 +139,10 @@ class _Plan(NamedTuple):
     """The steps of one run over numbered slots, and where its results end.
 
     Slots ``0..k-1`` hold the k input potentials; every other slot starts
-    empty.  ``nodes``: node -> slot of its table or marginal.  ``messages``:
-    message or Hugin register key -> slot, None for a vacuous SS message.
+    empty, and some step writes it before any step but its free load reads
+    it, so no slot goes without a value.  ``nodes``: node -> slot of its
+    table or marginal.  ``messages``: message or Hugin register key ->
+    slot, None for a vacuous SS message.
     ``marginals``: target -> the slot of its marginal, which :func:`_run`
     normalizes after the steps, in ascending target order.  ``marks``:
     ``(phase, sender, receiver, steps done)`` after each Hugin send.
@@ -208,30 +208,28 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
     separator.  Loads and absorbs are all products; one into a node with no
     table yet is the free load.  Which node has a table at each send, and
     which Hugin register is written, follows from the assignments alone, so
-    a silent sender emits no step.  After the inputs come the message slot,
-    Hugin's quotient slot, one table slot per node, one register slot per
-    edge and one marginal slot per target.  Products into, and LS quotients
-    of, a node's table are in place unless the node's domain equals a
-    separator (the ownership rule in the module docstring).
+    a silent sender emits no step.  Every product into a node's table, and
+    every LS quotient of one, is in place (the ownership rule in the module
+    docstring).  After the inputs come one table slot per node, the message
+    slot unless the tree is one node, which sends nothing, and one marginal
+    slot per target, where the LS plan ends; Hugin's plan goes on with one
+    register slot per edge and the quotient slot if some send divides.
     """
     nodes, cards, k = tree.nodes, tree.cards, len(potentials)
-    msg, quo = k, k + 1
-    table = {n: k + 2 + i for i, n in enumerate(sorted(nodes))}
-    register = {e: k + 2 + len(nodes) + i for i, e in enumerate(tree.edges())}
-    shared = {n for (n, _), sep in tree.separators.items() if len(sep) == len(nodes[n])}
-    mult = {n: _MULTIPLY if n in shared else _MULTIPLY_IN for n in nodes}
+    table = {n: k + i for i, n in enumerate(sorted(nodes))}
+    msg = k + len(nodes)
+    first = msg + (len(nodes) > 1)
+    marginals = {x: first + i for i, x in enumerate(targets)}
+    size = first + len(targets)
+    register = {e: size + i for i, e in enumerate(tree.edges())}
+    quo = hugin_size = size + len(register)
     init, has_table = [], set()
     for n in sorted(nodes):
         for i in tree.assignments.get(n, ()):
             has_table.add(n)
-            init.append((mult[n], table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
-    over = {}  # (node, edge) -> the plan of node's table with a message over edge's separator
-
-    def plan_over(n, e, sep):
-        if (n, e) not in over:
-            over[n, e] = multiply_plan(nodes[n], sep, cards)
-        return over[n, e]
-
+            init.append((_MULTIPLY_IN, table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
+    # (a, b) -> the plan of b's table with a message over the separator of a and b
+    over = {(a, b): multiply_plan(nodes[b], sep, cards) for (a, b), sep in tree.separators.items()}
     ls, hugin, marks, written = list(init), init, [], set()
     parent = tree.rooting.parent
     for a, b in tree.sends:
@@ -241,25 +239,23 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
         e = _edge_key(a, b)
         inward = parent[a] == b
         take = (_MARGINALIZE, msg, table[a], None, marginalize_plan(nodes[a], sep))
-        into = plan_over(b, e, sep)
-        ls += (take, (mult[b], table[b], table[b], msg, into))
+        absorb = (_MULTIPLY_IN, table[b], table[b], msg, over[a, b])
+        ls += (take, absorb)
         if inward:
-            div = _DIVIDE if a in shared else _DIVIDE_IN
-            ls.append((div, table[a], table[a], msg, plan_over(a, e, sep)))
+            ls.append((_DIVIDE_IN, table[a], table[a], msg, over[b, a]))
         hugin.append(take)
         if not inward and len(tree.adj[b]) == 1 and nodes[b] == sep and len(sep) > 1:
             hugin.append((_COPY, table[b], msg, None, None))  # a leaf served by the register
         elif e in written:
+            hugin_size = quo + 1
             hugin.append((_DIVIDE, quo, msg, register[e], multiply_plan(sep, sep, cards)))
-            hugin.append((mult[b], table[b], table[b], quo, into))
+            hugin.append((_MULTIPLY_IN, table[b], table[b], quo, over[a, b]))
         else:
-            hugin.append((mult[b], table[b], table[b], msg, into))
+            hugin.append(absorb)
         hugin.append((_COPY, register[e], msg, None, None))
         marks.append(("inward" if inward else "outward", a, b, len(hugin)))
         has_table.add(b)
         written.add(e)
-    first = k + 2 + len(nodes) + len(register)
-    marginals = {x: first + i for i, x in enumerate(targets)}
     for x, out in marginals.items():
         d = tree.designated[x]
         ls.append((_MARGINALIZE, out, table[d], None, marginalize_plan(nodes[d], (x,))))
@@ -268,8 +264,7 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
             hugin.append(ls[-1])
         else:
             hugin.append((_MARGINALIZE, out, register[best[1]], None, marginalize_plan(tree.separator(*best[1]), (x,))))
-    size = first + len(targets)
-    return _Plan(size, ls, table, {}, marginals, []), _Plan(size, hugin, table, register, marginals, marks)
+    return _Plan(size, ls, table, {}, marginals, []), _Plan(hugin_size, hugin, table, register, marginals, marks)
 
 
 def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
@@ -307,26 +302,14 @@ def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineR
     return _run("hugin", tree, potentials, plans[1], on_step)
 
 
-def _fold(steps: list, parts, out: int, cards: dict):
-    """Append the steps folding ``parts``, ``(slot, domain)`` pairs, in order into slot ``out``.
-
-    Returns the product's ``(slot, domain)``: the part's own when there is one part.
-    """
-    slot, dom = parts[0]
-    for s, d in parts[1:]:
-        plan = multiply_plan(dom, d, cards)
-        steps.append((_MULTIPLY, out, slot, s, plan))
-        slot, dom = out, plan[0]
-    return slot, dom
-
-
 def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
     """The steps of :func:`ss_run` for ``targets``.
 
     ``held`` maps each own product (keyed by node) and each demanded
     message (keyed by its directed edge) to its ``(slot, domain)``, or to
-    None for a vacuous message.  Each fold writes into a fresh slot, which
-    the message's marginalization then overwrites.
+    None for a vacuous message.  Every product, message, node product and
+    separator product comes from ``product``, which takes a new slot only
+    when it emits a step; each marginal gets a new slot of its own.
     """
     cards = tree.cards
     root, _, postorder, parent, _ = tree.rooting
@@ -345,25 +328,39 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
             below[parent[n]] += below[n]
 
     steps, held, fresh = [], {}, len(potentials)
+
+    def product(parts, keep=None):
+        """Fold ``parts``, ``(slot, domain)`` pairs, in order, then sum out what ``keep`` lacks.
+
+        Every step writes the one new slot, taken only if there is a step;
+        returns the result's ``(slot, domain)``, the part's own for one part
+        and nothing to sum out.
+        """
+        nonlocal fresh
+        slot, dom = parts[0]
+        for s, d in parts[1:]:
+            plan = multiply_plan(dom, d, cards)
+            steps.append((_MULTIPLY, fresh, slot, s, plan))
+            slot, dom = fresh, plan[0]
+        if keep is not None and not set(dom) <= set(keep):
+            plan = marginalize_plan(dom, set(keep).intersection(dom))
+            steps.append((_MARGINALIZE, fresh, slot, None, plan))
+            slot, dom = fresh, plan[0]
+        if slot == fresh:
+            fresh += 1
+        return slot, dom
+
     # With any sink, every node is one or sends toward one, so needs its own potential.
     if below[root]:
         for n in sorted(tree.nodes):
             idxs = tree.assignments.get(n)
             if idxs:
-                held[n] = _fold(steps, [(i, potentials[i].domain) for i in idxs], fresh, cards)
-                fresh += 1
+                held[n] = product([(i, potentials[i].domain) for i in idxs])
 
     def inputs(n, skip):
         """Non-vacuous messages into n from neighbors other than skip, then n's own product."""
-        out = []
-        for q in tree.adj[n]:
-            if q != skip:
-                m = held[q, n]
-                if m is not None:
-                    out.append(m)
-        if n in held:
-            out.append(held[n])
-        return out
+        out = [held[q, n] for q in tree.adj[n] if q != skip and held[q, n] is not None]
+        return out + [held[n]] if n in held else out
 
     messages = {}
     for e in tree.sends:
@@ -371,32 +368,20 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
         if not (below[root] - below[a] if parent[a] == b else below[b]):
             continue  # no sink lies on b's side
         parts = inputs(a, b)
-        if not parts:
-            held[e] = messages[e] = None
-            continue
-        slot, dom = _fold(steps, parts, fresh, cards)
-        keep = set(tree.separator(a, b)).intersection(dom)
-        if len(keep) < len(dom):  # else the product lies in the separator: nothing to sum out
-            marg = marginalize_plan(dom, keep)
-            steps.append((_MARGINALIZE, fresh, slot, None, marg))
-            slot, dom = fresh, marg[0]
-        fresh += 1
-        held[e] = slot, dom
-        messages[e] = slot
+        held[e] = product(parts, tree.separator(a, b)) if parts else None
+        messages[e] = None if held[e] is None else held[e][0]
 
     nodes, seps, marginals = {}, {}, {}
     for x in targets:
         d = designated[x]
         if d not in nodes:
-            nodes[d] = _fold(steps, inputs(d, None), fresh, cards)
-            fresh += 1
+            nodes[d] = product(inputs(d, None))
         slot, dom = nodes[d]
         edge = via.get(x)
         if edge is not None:
             if edge not in seps:
                 u, v = edge
-                seps[edge] = _fold(steps, [m for m in (held[u, v], held[v, u]) if m is not None], fresh, cards)
-                fresh += 1
+                seps[edge] = product([m for m in (held[u, v], held[v, u]) if m is not None])
             slot, dom = seps[edge]
         steps.append((_MARGINALIZE, fresh, slot, None, marginalize_plan(dom, (x,))))
         marginals[x] = fresh

@@ -34,10 +34,12 @@ first makes a transposed operand of that size contiguous.  Smaller
 products keep numpy's layout, which follows the operands, so small tables
 are summed exactly as before.
 
-Tables are immutable, with one exception: ``multiply`` and ``divide``
-given ``inplace`` write the result into their first operand, which must
-span the result domain.  Only the engines ask for that, and only for a
-node table that no other slot, result or input shares.
+Every kernel returns a table of its own, never an operand's: a
+marginalization that sums out nothing returns an uncounted copy.  Tables
+are immutable, with one exception: ``multiply`` and ``divide`` given
+``inplace`` write the result into their first operand, which must span the
+result domain, and return it.  Only the engines ask for that, and only for
+a node table that its node alone holds.
 """
 
 from __future__ import annotations
@@ -249,13 +251,14 @@ def marginalize(a: Potential, keep: Iterable[int], counter: OpCounter, plan=None
     """Sum out all variables not in ``keep``; result keeps a's relative order.
 
     ``plan`` is ``marginalize_plan(a.domain, keep)``, computed here when not
-    given.
+    given.  When ``keep`` covers a's domain nothing is summed or charged, and
+    the result is a copy in a's memory layout, never a's own table.
     """
     if plan is None:
         plan = marginalize_plan(a.domain, keep)
     dom, axes = plan
     if not axes:
-        return Potential(a.domain, a.values)
+        return Potential(a.domain, a.values.copy(order="K"))
     x = a.values
     out = x.sum(axis=axes) if x.size < BIG_CELLS else _sum_runs(x, axes)
     counter.adds += x.size - out.size

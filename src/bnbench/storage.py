@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bnbench.compile import JoinTree
-from bnbench.engines import EngineError, ss_run
+from bnbench.engines import EngineError, _targets, ss_run
 from bnbench.network import BayesNet, evidence_potentials, input_potentials
 
 
@@ -37,8 +37,8 @@ class StorageReport:
 
 
 def storage_report(arch: str, tree: JoinTree, net: BayesNet, evidence: dict, targets=None) -> StorageReport:
-    if targets is None:
-        targets = sorted(net.cards)
+    """The fpn figures of ``arch`` on ``tree``; ``targets`` are checked as the engines check them."""
+    targets = _targets(tree, targets)
     cards = net.cards
     input_fpn = sum(net.cpts[v.id].size for v in net.variables)
     evidence_fpn = sum(p.size for p in evidence_potentials(net, evidence))

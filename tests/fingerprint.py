@@ -1,0 +1,110 @@
+"""One sha256 over everything the engines and the storage reports output on a fixed case set.
+
+Run from the repository root with
+
+    PYTHONPATH=src python tests/fingerprint.py
+
+and compare the printed hash across two versions of ``src/`` to show that
+a change leaves every count, table and hook call as it was.  The hash
+covers, for LS, Hugin and SS on both trees of each case and each target
+set: the counters, the singleton and node marginals (values and key
+order), the SS messages and Hugin registers, every ``on_step`` call of a
+Hugin run, and the storage report of each architecture.  A run that
+raises contributes its exception instead.
+
+Cases: the chest clinic, 40 trials of each acceptance-criterion-6 preset,
+trials 0-9 of ``wide`` and 0-2 of ``long``, all at seed 2013, each with
+the targets all, ``[0]``, ``[]`` and ``[3, 1, 5]``.  Not a pytest module:
+it runs for about two and a half minutes on a 2-core x86_64 host.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from bnbench.compile import compile_structures
+from bnbench.engines import hugin_run, ls_run, ss_run
+from bnbench.generate import GenParams, random_case
+from bnbench.network import chest_clinic, chest_clinic_evidence
+from bnbench.storage import storage_report
+
+SEED = 2013
+PRESETS = (GenParams(n=8, c2=2, m=3, p=3, seed=SEED), GenParams(n=8, c2=5, m=6, p=3, seed=SEED))
+WIDE = GenParams(n=14, c1=6, c2=5, m=6, p=3, seed=SEED)
+LONG = GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=SEED)
+TARGETS = (None, [0], [], [3, 1, 5])
+
+
+def cases():
+    """``(label, net, evidence)`` of every case, in a fixed order."""
+    yield "chest", chest_clinic(), chest_clinic_evidence()
+    for params, trials in [(p, range(40)) for p in PRESETS] + [(WIDE, range(10)), (LONG, range(3))]:
+        for t in trials:
+            yield "%r/%d" % (params, t), *random_case(params, t)
+
+
+class Fingerprint:
+    """A running sha256 over reprs of plain values and the bytes of each table."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def text(self, *parts):
+        self.sha.update(repr(parts).encode() + b"\n")
+
+    def table(self, pot):
+        if pot is None:
+            self.text(None)
+        else:
+            self.text(pot.domain, pot.values.shape, str(pot.values.dtype))
+            self.sha.update(pot.values.tobytes())
+
+    def tables(self, label, tables: dict):
+        self.text(label, list(tables))
+        for pot in tables.values():
+            self.table(pot)
+
+    def result(self, res):
+        self.text(res.arch, res.tree_kind, res.counter.as_tuple())
+        self.tables("singletons", res.singleton_marginals)
+        self.tables("nodes", res.node_marginals)
+        self.tables("messages", res.messages)
+
+    def step(self, phase, sender, receiver, tables, store):
+        self.text("step", phase, sender, receiver)
+        self.tables("tables", tables)
+        self.tables("store", store)
+
+    def guarded(self, call, *args, **kwargs):
+        """``call(*args, **kwargs)``, or None after hashing the program error it raised."""
+        try:
+            return call(*args, **kwargs)
+        except (ValueError, ArithmeticError) as exc:
+            self.text("raised", type(exc).__name__, str(exc))
+            return None
+
+
+def main():
+    fp = Fingerprint()
+    for label, net, evidence in cases():
+        fp.text("case", label)
+        comp = compile_structures(net, evidence)
+        for tree in (comp.junction, comp.binary):
+            for targets in TARGETS:
+                fp.text("tree", tree.kind, targets)
+                for run in (ls_run, hugin_run, ss_run):
+                    res = fp.guarded(run, tree, comp.potentials, targets)
+                    if res is not None:
+                        fp.result(res)
+                res = fp.guarded(hugin_run, tree, comp.potentials, targets, on_step=fp.step)
+                if res is not None:
+                    fp.result(res)
+                for arch in ("ls", "hugin", "ss"):
+                    report = fp.guarded(storage_report, arch, tree, net, evidence, targets)
+                    if report is not None:
+                        fp.text("storage", vars(report))
+    print(fp.sha.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -572,12 +572,13 @@ _MIXED_SIZES = (
 
 
 class TestInPlaceOwnership:
-    """LS and Hugin write a node table in place only where that node alone holds it.
+    """LS and Hugin write every node table in place, and no table another holder still reads.
 
-    The hook, separator and wide tests fail when every product or quotient
-    whose output slot is its first operand's is written in place, or when
-    the hook is handed the live tables.  The inputs test fails when a free
-    load hands a node an input's own array.
+    The hook, separator and wide tests fail when a marginalization that
+    sums out nothing returns its input's own table (an in-place product or
+    quotient then also writes the message, a register or a served leaf),
+    or when the hook is handed the live tables.  The inputs test fails when
+    a free load hands a node an input's own array.
     """
 
     @given(*_MIXED_SIZES)
@@ -623,6 +624,123 @@ class TestInPlaceOwnership:
             _assert_ls_hugin_match_references(tree, comp.potentials, None)
             ss_run(tree, comp.potentials)
         assert [(p.domain, p.values.tobytes()) for p in comp.potentials] == before
+
+
+# The six-state small preset's trial 98 at seed 2013: a one-node junction
+# tree, which sends nothing.
+ONE_NODE = (GenParams(n=8, c2=5, m=6, p=3, seed=2013), 98)
+
+# Networks of up to six states per variable, down to two variables.
+_SIX_STATES = (
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 10),
+    st.integers(2, 4),
+    st.integers(2, 6),
+)
+
+
+def _assert_slots_hold_values(plan, k: int):
+    """Every slot after the k inputs is some step's output, and no step reads a slot before that.
+
+    The one step that reads an empty slot is the free load: a product into
+    its own first operand's slot while that slot is still empty.
+    """
+    filled = set(range(k))
+    for kind, out, a, b, _ in plan.steps:
+        assert a in filled or (kind in (engines._MULTIPLY, engines._MULTIPLY_IN) and a == out)
+        assert b is None or b in filled
+        filled.add(out)
+    assert filled == set(range(plan.size))
+    ends = [*plan.nodes.values(), *plan.messages.values(), *plan.marginals.values()]
+    assert {s for s in ends if s is not None} <= filled
+
+
+def _assert_plans_hold_values(comp, targets=None):
+    for tree in (comp.junction, comp.binary):
+        chosen = engines._targets(tree, targets)
+        ls, hugin = engines._build_table_plans(tree, comp.potentials, chosen)
+        for plan in (ls, hugin, engines._build_ss_plan(tree, comp.potentials, chosen)):
+            _assert_slots_hold_values(plan, len(comp.potentials))
+
+
+class TestPlanSlots:
+    """Every slot of an LS, Hugin or SS plan holds a value some step writes before any step reads it.
+
+    Fails when a plan reserves a slot that no step writes, such as the LS
+    plan keeping Hugin's quotient and register slots, a message or quotient
+    slot on a tree that never uses it, or an SS slot taken for a fold of one
+    part.
+    """
+
+    @given(*_SIX_STATES, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_networks(self, seed, n, c2, m, data):
+        comp = compile_structures(*random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0))
+        targets = data.draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), unique=True)))
+        _assert_plans_hold_values(comp, targets)
+
+    def test_chest(self, chest_comp):
+        for targets in (None, [], [6], [0, 3, 7]):
+            _assert_plans_hold_values(chest_comp, targets)
+
+    def test_long_trial(self):
+        _assert_plans_hold_values(compile_structures(*random_case(LONG, 0)))
+
+    def test_wide_trial(self):
+        _assert_plans_hold_values(compile_structures(*random_case(WIDE, 0)))
+
+    def test_one_node_tree(self):
+        comp = compile_structures(*random_case(*ONE_NODE))
+        assert len(comp.junction.nodes) == 1
+        _assert_plans_hold_values(comp)
+
+
+def _assert_one_owner_per_table(tree, potentials):
+    """No two node tables of a run share memory, nor a node table and a Hugin register.
+
+    The one exception is a leaf served by its register: a non-root leaf of
+    two or more variables whose domain is its separator.
+    """
+    root, _, _, parent, _ = tree.rooting
+    for run in (ls_run, hugin_run, ss_run):
+        res = run(tree, potentials)
+        tables = list(res.node_marginals.items())
+        for i, (n, t) in enumerate(tables):
+            for other, u in tables[i + 1 :]:
+                assert not np.shares_memory(t.values, u.values), (run.__name__, n, other)
+            if run is not hugin_run:
+                continue
+            for e, r in res.messages.items():
+                if np.shares_memory(t.values, r.values):
+                    served = n != root and e == engines._edge_key(n, parent[n]) and len(tree.adj[n]) == 1
+                    assert served and len(t.domain) > 1 and tree.nodes[n] == tree.separators[e], (n, e)
+
+
+class TestOneOwnerPerTable:
+    """After a run, each node table is its node's alone.
+
+    Fails when a marginalization that sums out nothing returns its input's
+    own table: a message from a node whose domain is the separator is then
+    that node's table, which its neighbor's served leaf or the Hugin
+    register keeps.
+    """
+
+    @given(*_SIX_STATES)
+    @settings(max_examples=40, deadline=None)
+    def test_random_networks(self, seed, n, c2, m):
+        comp = compile_structures(*random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0))
+        for tree in (comp.junction, comp.binary):
+            _assert_one_owner_per_table(tree, comp.potentials)
+
+    def test_chest(self, chest_comp):
+        for tree in (chest_comp.junction, chest_comp.binary):
+            _assert_one_owner_per_table(tree, chest_comp.potentials)
+
+    @pytest.mark.parametrize("params", [LONG, WIDE], ids=["long", "wide"])
+    def test_trial_zero(self, params):
+        comp = compile_structures(*random_case(params, 0))
+        for tree in (comp.junction, comp.binary):
+            _assert_one_owner_per_table(tree, comp.potentials)
 
 
 def _assert_architectures_agree(params, trial):

@@ -96,6 +96,18 @@ class TestMarginalize:
         np.testing.assert_allclose(out.values, a.values)
         assert c.adds == 0
 
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_summing_nothing_copies_in_the_input_layout(self, layout):
+        a = Potential((3, 1, 2), layout(np.arange(24.0).reshape(2, 3, 4)))
+        for plan in (None, marginalize_plan(a.domain, (1, 2, 3))):
+            c = OpCounter()
+            out = marginalize(a, (1, 2, 3), c, plan)
+            assert out.domain == a.domain
+            assert np.array_equal(out.values, a.values)
+            assert out.values.strides == a.values.strides
+            assert c.as_tuple() == (0, 0, 0)
+            assert not np.shares_memory(out.values, a.values)
+
     def test_cost_is_source_minus_result_size(self):
         c = OpCounter()
         a = from_values([0, 1, 2], [2, 2, 2], np.arange(8, dtype=float))

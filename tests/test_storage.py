@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnbench.compile import compile_structures
-from bnbench.engines import ss_run
+from bnbench.engines import EngineError, ss_run
 from bnbench.generate import GenParams, random_case
 from bnbench.network import figure9_evidence, figure9_net
 from bnbench.storage import peak_working_memory, storage_report
@@ -76,6 +76,18 @@ class TestChestStorage:
     def test_unknown_architecture_rejected(self, chest, chest_evidence, chest_comp):
         with pytest.raises(ValueError):
             storage_report("loopy", chest_comp.junction, chest, chest_evidence)
+
+    def test_duplicate_targets_count_once(self, chest, chest_evidence, chest_comp):
+        for arch, tree in (("ls", chest_comp.junction), ("hugin", chest_comp.junction), ("ss", chest_comp.binary)):
+            once = storage_report(arch, tree, chest, chest_evidence, [1])
+            twice = storage_report(arch, tree, chest, chest_evidence, [1, 1])
+            assert once.output_fpn == 2
+            assert twice == once
+
+    def test_unknown_target_rejected(self, chest, chest_evidence, chest_comp):
+        for arch, tree in (("ls", chest_comp.junction), ("hugin", chest_comp.junction), ("ss", chest_comp.binary)):
+            with pytest.raises(EngineError, match="99"):
+                storage_report(arch, tree, chest, chest_evidence, [1, 99])
 
     def test_single_node_tree_stores_no_messages(self):
         from bnbench.compile import JoinTree
