@@ -25,16 +25,18 @@ multiply or divide in place), its output
 and operand slots and its kernel plan (``marginalize_plan`` for a
 marginalization, else ``multiply_plan``), plus the slots where node tables,
 messages and each target's marginal end.  The last steps marginalize each
-target's source onto it.
+target's source onto it; an SS source that spans only its target gets no
+step, and its slot is the marginal's.
 The three architectures differ only in the steps their builders emit; one
 executor, :func:`_execute`, runs them all and is the only caller of the
 counted kernels.  Every run checks its targets, fetches its plan, executes
-all the plan's steps and normalizes the marginal slots.  Plans are kept in
-``JoinTree.plans``, keyed on the targets and the potentials' domains, with
-the assignments they were built for; a run whose key or assignments differ
-builds a new plan, and the precondition is checked only then.  LS and Hugin
-come from one build; SS has its own.  A plan holds no numbers, so every
-counted operation is still performed and charged on every run.
+all the plan's steps and normalizes each marginal slot into the result.
+Plans are kept in ``JoinTree.plans``, keyed on the targets and the
+potentials' domains, with the assignments they were built for; a run whose
+key or assignments differ builds a new plan, and the precondition is
+checked only then.  LS and Hugin come from one build; SS has its own.  A
+plan holds no numbers, so every counted operation is still performed and
+charged on every run.
 
 Ownership: every table has one owner.  No kernel returns an operand's
 table (a marginalization that sums out nothing copies), a free load embeds
@@ -42,9 +44,10 @@ a fresh copy, and a register keeps the message it is given, a table no
 step writes.  So each node table is its node's alone, and every LS and
 Hugin product into it, and every LS quotient of it, is written in place.
 Hugin's leaf served by a register shares that register's table; it
-receives nothing after that.  Input potentials are never written, and with
-``on_step`` the hook gets copies of the tables, so what it keeps stays as
-it was.
+receives nothing after that.  Input potentials are never written.  With
+``on_step`` the hook gets copies of the node tables: each is made after the
+send that last wrote its table and handed again to every later call, so
+what the hook keeps stays as it was as long as the hook writes none.
 """
 
 from __future__ import annotations
@@ -144,8 +147,10 @@ class _Plan(NamedTuple):
     table or marginal.  ``messages``: message or Hugin register key ->
     slot, None for a vacuous SS message.
     ``marginals``: target -> the slot of its marginal, which :func:`_run`
-    normalizes after the steps, in ascending target order.  ``marks``:
-    ``(phase, sender, receiver, steps done)`` after each Hugin send.
+    normalizes into the result after the steps, in ascending target order;
+    an SS marginal's slot may be that of the node or separator product it
+    comes from.  ``marks``: ``(phase, sender, receiver, steps done)`` after
+    each Hugin send.
     """
 
     size: int
@@ -172,30 +177,35 @@ def _execute(steps, vals: list, counter: OpCounter):
 
 
 def _run(arch: str, tree: JoinTree, potentials, plan: _Plan, on_step=None) -> EngineResult:
-    """Execute ``plan`` on ``potentials``, then normalize each target's marginal in its slot.
+    """Execute ``plan`` on ``potentials``, then normalize each target's marginal into the result.
+
+    A marginal's slot may hold an SS node or separator product, so the
+    slots are left as they are and node tables stay unnormalized.
 
     With ``on_step``, the steps run in segments between the marks, and the
     hook sees copies of the node tables, and the registers, held after each
-    segment.  No register is ever written in place.
+    segment.  The first segment loads every node's potentials, and each
+    later one writes only its receiver's table, so after the first call
+    only that table is copied anew; every other entry is the copy the
+    previous call got.  Each call gets a dict of its own, in ``plan.nodes``
+    order.  No register is ever written in place.
     """
     counter = OpCounter()
     vals = list(potentials) + [None] * (plan.size - len(potentials))
-    done = 0
+    done, copies = 0, {}
     if on_step is not None:
         for phase, a, b, end in plan.marks:
             _execute(plan.steps[done:end], vals, counter)
+            for n in (b,) if done else plan.nodes:
+                table = vals[plan.nodes[n]]
+                if table is not None:
+                    copies[n] = Potential(table.domain, table.values.copy())
             done = end
-            tables = {
-                n: Potential(vals[s].domain, vals[s].values.copy())
-                for n, s in plan.nodes.items()
-                if vals[s] is not None
-            }
+            tables = {n: copies[n] for n in plan.nodes if n in copies}
             store = {e: vals[s] for e, s in plan.messages.items() if vals[s] is not None}
             on_step(phase, a, b, tables, store)
     _execute(plan.steps[done:], vals, counter)
-    for s in plan.marginals.values():
-        vals[s] = normalize(vals[s])
-    marginals = {x: vals[s] for x, s in plan.marginals.items()}
+    marginals = {x: normalize(vals[s]) for x, s in plan.marginals.items()}
     nodes = {n: vals[s] for n, s in plan.nodes.items()}
     messages = {k: None if s is None else vals[s] for k, s in plan.messages.items()}
     return EngineResult(arch, tree.kind, marginals, nodes, counter, messages)
@@ -297,6 +307,10 @@ def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineR
     ``on_step(phase, sender, receiver, tables, store)`` is invoked after
     every message for invariant instrumentation; ``phase`` is ``"inward"``
     when the receiver is the sender's parent, else ``"outward"``.
+    ``tables`` holds a copy of each node table there is, and ``store``
+    each written register.  A send writes only the receiver's table, so
+    only its copy is new; every other copy is the one an earlier call got.
+    The hook must write none of them.
     """
     plans = _plan(tree, "ls/hugin", potentials, _targets(tree, targets), _build_table_plans)
     return _run("hugin", tree, potentials, plans[1], on_step)
@@ -307,9 +321,11 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
 
     ``held`` maps each own product (keyed by node) and each demanded
     message (keyed by its directed edge) to its ``(slot, domain)``, or to
-    None for a vacuous message.  Every product, message, node product and
-    separator product comes from ``product``, which takes a new slot only
-    when it emits a step; each marginal gets a new slot of its own.
+    None for a vacuous message.  Every product, message, node product,
+    separator product and marginal comes from ``product``, which takes a
+    new slot only when it emits a step: like a message whose product holds
+    nothing outside its separator, a marginal whose source spans only its
+    target is that source's slot, and no step copies it.
     """
     cards = tree.cards
     root, _, postorder, parent, _ = tree.rooting
@@ -376,16 +392,14 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
         d = designated[x]
         if d not in nodes:
             nodes[d] = product(inputs(d, None))
-        slot, dom = nodes[d]
+        part = nodes[d]
         edge = via.get(x)
         if edge is not None:
             if edge not in seps:
                 u, v = edge
                 seps[edge] = product([m for m in (held[u, v], held[v, u]) if m is not None])
-            slot, dom = seps[edge]
-        steps.append((_MARGINALIZE, fresh, slot, None, marginalize_plan(dom, (x,))))
-        marginals[x] = fresh
-        fresh += 1
+            part = seps[edge]
+        marginals[x] = product([part], (x,))[0]
     return _Plan(fresh, steps, {d: slot for d, (slot, _) in nodes.items()}, messages, marginals, [])
 
 

@@ -561,13 +561,15 @@ def _snapshot(tables: dict) -> dict:
     return {k: None if t is None else (t.domain, t.values.tobytes()) for k, t in tables.items()}
 
 
-# Networks with tables on both sides of potentials.BIG_CELLS: up to six
-# states per variable and families of up to four.
+# Networks with tables on both sides of potentials.BIG_CELLS: 6 to 12
+# variables, each joined to up to 3-5 earlier ones (c2) and of up to 4-6
+# states (m).  About one uniform draw in four holds a junction node of
+# 2**11 cells or more.
 _MIXED_SIZES = (
     st.integers(0, 2**32 - 1),
-    st.integers(3, 12),
-    st.integers(2, 6),
-    st.integers(2, 4),
+    st.integers(6, 12),
+    st.integers(3, 5),
+    st.integers(4, 6),
 )
 
 
@@ -626,6 +628,52 @@ class TestInPlaceOwnership:
         assert [(p.domain, p.values.tobytes()) for p in comp.potentials] == before
 
 
+def _assert_hook_copies_only_the_receiver(tree, potentials, monkeypatch):
+    """Each hook call after the first shares every table but the receiver's with the call before.
+
+    The receiver's entry is a new copy of its live table, read from the
+    slots that ``engines._execute`` is handed.
+    """
+    slots, seen = [], []
+    execute = engines._execute
+
+    def keep_slots(steps, vals, counter):
+        slots[:] = [vals]
+        execute(steps, vals, counter)
+
+    def check(phase, sender, receiver, tables, store):
+        nodes = tree.plans["ls/hugin"][2][1].nodes
+        assert list(tables) == [n for n in nodes if n in tables]
+        live, got = slots[0][nodes[receiver]], tables[receiver]
+        assert not np.shares_memory(got.values, live.values)
+        assert (got.domain, got.values.tobytes()) == (live.domain, live.values.tobytes())
+        if seen:
+            assert got is not seen[-1].get(receiver)
+            assert all(t is seen[-1].get(n) for n, t in tables.items() if n != receiver)
+        seen.append(tables)
+
+    monkeypatch.setattr(engines, "_execute", keep_slots)
+    hugin_run(tree, potentials, on_step=check)
+    assert len(seen) > 1
+
+
+class TestHookCopiesOnlyTheReceiver:
+    """A hooked Hugin run copies a node table only after a send writes it.
+
+    Fails when every call copies every node table anew, or when a call
+    hands the hook a live table or a stale copy of the receiver's.
+    """
+
+    def test_chest(self, chest_comp, monkeypatch):
+        for tree in (chest_comp.junction, chest_comp.binary):
+            _assert_hook_copies_only_the_receiver(tree, chest_comp.potentials, monkeypatch)
+
+    def test_long_trial(self, monkeypatch):
+        comp = compile_structures(*random_case(LONG, 0))
+        for tree in (comp.junction, comp.binary):
+            _assert_hook_copies_only_the_receiver(tree, comp.potentials, monkeypatch)
+
+
 # The six-state small preset's trial 98 at seed 2013: a one-node junction
 # tree, which sends nothing.
 ONE_NODE = (GenParams(n=8, c2=5, m=6, p=3, seed=2013), 98)
@@ -659,8 +707,11 @@ def _assert_plans_hold_values(comp, targets=None):
     for tree in (comp.junction, comp.binary):
         chosen = engines._targets(tree, targets)
         ls, hugin = engines._build_table_plans(tree, comp.potentials, chosen)
-        for plan in (ls, hugin, engines._build_ss_plan(tree, comp.potentials, chosen)):
+        ss = engines._build_ss_plan(tree, comp.potentials, chosen)
+        for plan in (ls, hugin, ss):
             _assert_slots_hold_values(plan, len(comp.potentials))
+        # no SS step is a copy: every marginalization sums some axis
+        assert all(kernel[1] for kind, _, _, _, kernel in ss.steps if kind == engines._MARGINALIZE)
 
 
 class TestPlanSlots:
@@ -669,7 +720,8 @@ class TestPlanSlots:
     Fails when a plan reserves a slot that no step writes, such as the LS
     plan keeping Hugin's quotient and register slots, a message or quotient
     slot on a tree that never uses it, or an SS slot taken for a fold of one
-    part.
+    part; and when an SS plan copies a table by a marginalization that sums
+    nothing, such as extracting a target from a product that spans only it.
     """
 
     @given(*_SIX_STATES, st.data())
