@@ -60,10 +60,10 @@ class JoinTree:
     over numbered slots (see :mod:`bnbench.engines`), built on a tree's
     first run: the LS and the Hugin plan, built together, and the SS plan,
     each keyed on the targets and the domains of the potentials and kept
-    with the ``assignments`` it was built for.  A run whose key or
-    assignments differ (:func:`assign_potentials` sets new ones) builds a
-    new plan in place of the old one.  Assignments are matched by identity,
-    so code that changes them sets a new dict instead of editing this one.
+    with a copy of the ``assignments`` it was built from.  The assignments
+    may be set anew (:func:`assign_potentials` does) or edited in place:
+    plans follow them by value, so a run whose key or assignments differ
+    from a kept plan's builds a new plan in place of the old one.
     """
 
     kind: str
@@ -407,8 +407,8 @@ def junction_tree(bjt: JoinTree) -> JoinTree:
 def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
     """Attach each potential to the smallest containing node (ties: lowest id).
 
-    The new assignments are a new dict, so the engines build new plans
-    for them on the tree's next run.
+    Replaces ``tree.assignments``; where they differ from a kept plan's,
+    the engines build a new plan on the tree's next run.
     """
     holders, spaces = tree.holders, tree.spaces
     assignments = {}

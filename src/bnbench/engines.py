@@ -32,11 +32,12 @@ executor, :func:`_execute`, runs them all and is the only caller of the
 counted kernels.  Every run checks its targets, fetches its plan, executes
 all the plan's steps and normalizes each marginal slot into the result.
 Plans are kept in ``JoinTree.plans``, keyed on the targets and the
-potentials' domains, with the assignments they were built for; a run whose
-key or assignments differ builds a new plan, and the precondition is
-checked only then.  LS and Hugin come from one build; SS has its own.  A
-plan holds no numbers, so every counted operation is still performed and
-charged on every run.
+potentials' domains, with a copy of the assignments they were built from;
+a run whose key or assignments differ in value, whether set anew or edited
+in place, builds a new plan, and the precondition is checked only then.
+LS and Hugin come from one build; SS has its own.  A plan holds no
+numbers, so every counted operation is still performed and charged on
+every run.
 
 Ownership: every table has one owner.  No kernel returns an operand's
 table (a marginalization that sums out nothing copies), a free load embeds
@@ -44,10 +45,11 @@ a fresh copy, and a register keeps the message it is given, a table no
 step writes.  So each node table is its node's alone, and every LS and
 Hugin product into it, and every LS quotient of it, is written in place.
 Hugin's leaf served by a register shares that register's table; it
-receives nothing after that.  Input potentials are never written.  With
-``on_step`` the hook gets copies of the node tables: each is made after the
-send that last wrote its table and handed again to every later call, so
-what the hook keeps stays as it was as long as the hook writes none.
+receives nothing after that.  Input potentials are never written (those
+from ``make_potential`` are read-only).  With ``on_step`` the hook gets
+copies of the node tables: each is made after the send that last wrote its
+table and handed again to every later call, so what the hook keeps stays
+as it was as long as the hook writes none.
 """
 
 from __future__ import annotations
@@ -119,15 +121,19 @@ def _targets(tree: JoinTree, targets):
 def _plan(tree: JoinTree, kind: str, potentials, targets, build):
     """The tree's ``kind`` plan for ``targets``, the potentials' domains and the assignments.
 
-    When the tree keeps none, the inputs are checked and ``build(tree,
-    potentials, targets)`` makes one; a kept plan's inputs passed that
-    check when it was built.
+    The tree keeps each plan with a copy of the assignments it was built
+    from, and a kept plan serves only while the targets, the domains and
+    ``tree.assignments`` all equal what it was built from, so an edit in
+    place is seen like a new dict.  Otherwise the inputs are checked and
+    ``build(tree, potentials, targets)`` makes a new plan; a kept plan's
+    inputs passed that check when it was built.
     """
     key = (targets, tuple(p.domain for p in potentials))
     entry = tree.plans.get(kind)
-    if entry is None or entry[1] is not tree.assignments or entry[0] != key:
+    if entry is None or entry[0] != key or entry[1] != tree.assignments:
         _check_assignments(tree, potentials)
-        entry = tree.plans[kind] = (key, tree.assignments, build(tree, potentials, targets))
+        assignments = {n: list(idxs) for n, idxs in tree.assignments.items()}
+        entry = tree.plans[kind] = (key, assignments, build(tree, potentials, targets))
     return entry[2]
 
 

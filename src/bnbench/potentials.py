@@ -39,7 +39,9 @@ marginalization that sums out nothing returns an uncounted copy.  Tables
 are immutable, with one exception: ``multiply`` and ``divide`` given
 ``inplace`` write the result into their first operand, which must span the
 result domain, and return it.  Only the engines ask for that, and only for
-a node table that its node alone holds.
+a node table that its node alone holds.  ``make_potential``, which makes
+every CPT and evidence table, marks its values read-only, so a write into
+an input raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ class Potential:
 
     ``values.shape`` carries the per-variable cardinalities in domain order.
     The values are never written, except by an in-place ``multiply`` or
-    ``divide`` on a table its caller owns alone.
+    ``divide`` on a table its caller owns alone.  The values of a potential
+    from :func:`make_potential` are a read-only array.
     """
 
     __slots__ = ("domain", "values")
@@ -110,7 +113,11 @@ class Potential:
 
 
 def make_potential(domain: Sequence[Variable], values) -> Potential:
-    """Build a potential for ``domain`` from row-major ``values``."""
+    """Build a potential for ``domain`` from row-major ``values``, read-only.
+
+    CPT and evidence tables are made here and shared by every engine run on
+    a case, so a stray write into one raises instead of changing later runs.
+    """
     ids = tuple(v.id for v in domain)
     if len(set(ids)) != len(ids):
         raise PotentialError("duplicate variable in domain %r" % (ids,))
@@ -123,7 +130,9 @@ def make_potential(domain: Sequence[Variable], values) -> Potential:
         )
     if (arr < 0).any():
         raise PotentialError("negative value in potential")
-    return Potential(ids, arr.reshape(cards))
+    values = arr.reshape(cards)
+    values.flags.writeable = False
+    return Potential(ids, values)
 
 
 def identity_over(domain: Sequence[int], cards: dict) -> Potential:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bnbench import engines, storage
+from bnbench import cli, engines, storage
 from bnbench.compile import JoinTree, assign_potentials, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
@@ -16,6 +16,7 @@ from bnbench.potentials import (
     Variable,
     make_potential,
     marginalize,
+    multiply,
 )
 from helpers import (
     MarkedIdentity,
@@ -146,6 +147,14 @@ class TestDemandDrivenMessages:
         hugin_run(chest_comp.junction, chest_comp.potentials)
         ls_run(chest_comp.junction, chest_comp.potentials)
         assert _checksum(chest_comp.potentials) == before
+
+    def test_inputs_are_read_only(self, chest, chest_evidence):
+        # a compile of its own, so a write that got through would spoil no other test
+        for pot in compile_structures(chest, chest_evidence).potentials:
+            with pytest.raises(ValueError):
+                pot.values[(0,) * pot.values.ndim] = 0.5
+            with pytest.raises(ValueError):
+                multiply(pot, pot, OpCounter(), None, True)
 
 
 def _assert_same_tables(got: dict, want: dict):
@@ -361,7 +370,26 @@ class TestPlanReuse:
             _assert_all_match_references(tree, others)
             assert sorted(tree.plans) == sorted(old)
             for kind, (_, assignments, plan) in tree.plans.items():
-                assert assignments is tree.assignments and plan is not old[kind][2]
+                assert assignments == tree.assignments and assignments is not tree.assignments
+                assert plan is not old[kind][2]
+
+    @pytest.mark.parametrize(
+        "params, trials",
+        [(GenParams(n=8, c2=5, m=6, p=3, seed=2013), range(5)), (LONG, range(1))],
+        ids=["preset", "long"],
+    )
+    def test_one_build_of_each_plan_per_bench_trial(self, monkeypatch, params, trials):
+        builds = {"ls/hugin": 0, "ss": 0}
+        for kind, name in (("ls/hugin", "_build_table_plans"), ("ss", "_build_ss_plan")):
+
+            def counting(*args, kind=kind, build=getattr(engines, name)):
+                builds[kind] += 1
+                return build(*args)
+
+            monkeypatch.setattr(engines, name, counting)
+        for t in trials:
+            cli._bench_trial(params, t)
+        assert builds == {"ls/hugin": len(trials), "ss": len(trials)}
 
     def test_refused_runs_keep_no_plan(self, chest_comp):
         fresh = compile_structures(*random_case(GenParams(n=8, c2=2, m=3, p=3, seed=0), 0))
@@ -430,6 +458,19 @@ class TestPlanReuse:
         moved.setdefault(m, []).append(i)
         tree.assignments = {k: sorted(idxs) for k, idxs in moved.items() if idxs}
         _assert_all_match_references(tree, comp.potentials)
+        # the same kind of move made by editing the live lists in place
+        comp = compile_structures(*random_case(GenParams(n=30, c2=3, m=3, p=2, seed=6), 0))
+        for tree, (i, n, m) in ((comp.junction, (5, 2, 19)), (comp.binary, (2, 32, 72))):
+            _assert_all_match_references(tree, comp.potentials)
+            assert set(comp.potentials[i].domain) <= set(tree.nodes[m])
+            tree.assignments[n].remove(i)
+            tree.assignments.setdefault(m, []).append(i)
+            _assert_all_match_references(tree, comp.potentials)
+            copied = {k: list(idxs) for k, idxs in tree.assignments.items()}
+            fresh = JoinTree(tree.kind, tree.nodes, tree.adj, tree.cards, copied)
+            for run in (ls_run, hugin_run, ss_run):
+                got, want = run(tree, comp.potentials), run(fresh, comp.potentials)
+                assert got.counter.as_tuple() == want.counter.as_tuple()
 
 
 def _assert_counts_follow_from_steps(tree, potentials, targets=None):
