@@ -4,7 +4,10 @@ Pipeline: moral graph -> min-fill elimination order -> fusion-built binary
 join tree (every variable seeded with a singleton node) -> condensation ->
 junction tree by contracting the binary tree onto its maximal nodes.  Both
 structures therefore share one elimination order and one clique set, and
-every step is deterministic.
+every step is deterministic.  Seeding and condensation, which merges only
+equal domains, keep a singleton node for every variable in the binary
+tree, so no stage checks for one; what the engines need of an assigned
+tree they check themselves, once per plan.
 """
 
 from __future__ import annotations
@@ -354,10 +357,12 @@ def condense(tree: JoinTree) -> JoinTree:
 def attach_singletons(tree: JoinTree, targets) -> JoinTree:
     """Check that every target variable has a singleton node; return ``tree``.
 
-    Adds no nodes: :func:`binary_join_tree` seeds a singleton node for every
-    variable and :func:`condense` merges only equal domains, so every
-    compiled binary tree passes.  A tree without a singleton node for some
-    target raises :class:`CompileError` naming the variable.
+    Adds no nodes, and is not a compile stage: :func:`binary_join_tree`
+    seeds a singleton node for every variable and :func:`condense` merges
+    only equal domains, so every compiled binary tree passes, and
+    :func:`compile_structures` does not call it.  A tree without a
+    singleton node for some target raises :class:`CompileError` naming the
+    variable.
     """
     for x in sorted(set(targets)):
         if not any(tree.nodes[n] == (x,) for n in tree.holders.get(x, ())):
@@ -468,13 +473,15 @@ def compile_structures(net: BayesNet, evidence: dict) -> CompileResult:
     Each kept tree is checked once, by :func:`verify_join_tree`: the
     junction tree and the condensed binary tree.  The fusion forest from
     :func:`binary_join_tree` needs no check of its own (see there), and it
-    is discarded without ever building a structural index.
+    is discarded without ever building a structural index.  The binary
+    tree's singleton nodes (module docstring) and the assignments, which
+    :func:`assign_potentials` makes to fit and the engines check, get no
+    check here either.
     """
     pots, hypergraph = input_potentials(net, evidence)
     cards = net.cards
     order = elimination_order(moral_graph(net), cards)
     bjt = condense(binary_join_tree(hypergraph, cards, order))
-    bjt = attach_singletons(bjt, list(cards))
     jt = junction_tree(bjt)
     assign_potentials(jt, pots)
     assign_potentials(bjt, pots)

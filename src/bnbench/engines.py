@@ -13,9 +13,11 @@ single OpCounter.  Shared conventions that the counting targets pin down:
   receiver skips the product.  A vacuous SS message is stored as None.
 * Root selection, child ordering, tie-breaks, and fold orders are all fixed,
   so counters are bit-reproducible.
-* One precondition, checked when a plan is built: at least one potential,
-  each placed on exactly one node, on a connected tree.  Every table,
-  register and product an engine reads after the message loop then exists.
+* One precondition, checked when a plan is built (:func:`_check_assignments`):
+  at least one potential, each placed on exactly one node that holds its
+  domain, every target mentioned by some potential, on a connected tree.
+  Every table, register and product an engine reads after the message loop
+  then exists and spans what it must.  Nothing downstream checks again.
 
 Every domain an engine meets follows from the tree, its assignments and
 the domains of the potentials, never from their values.  So each run
@@ -87,22 +89,33 @@ class EngineResult:
     messages: dict
 
 
-def _check_assignments(tree: JoinTree, potentials):
-    """Refuse an empty potential list, unplaced potentials and a tree the rooting does not reach."""
-    if not potentials:
+def _check_assignments(tree: JoinTree, potentials, targets=()):
+    """Refuse inputs no run can be right on: the one check of a runnable assigned tree.
+
+    :func:`_plan` calls it before every build, so every engine run and the
+    SS storage replay pass it.  Refused, with :class:`EngineError`: no
+    potentials; a potential not placed exactly once (an index out of range
+    included), or placed on an id that is no node or on a node whose domain
+    lacks a variable of the potential's; a target that no potential
+    mentions; a tree the rooting does not reach.
+    """
+    k = len(potentials)
+    if not k:
         raise EngineError("no input potentials to propagate")
     placed = sorted(i for idxs in tree.assignments.values() for i in idxs)
-    if placed != list(range(len(potentials))):
-        raise EngineError(
-            "tree assignments cover %d of %d input potentials"
-            % (len(placed), len(potentials))
-        )
+    if placed != list(range(k)):
+        raise EngineError("tree assignments place %d potential indices; the %d input potentials need 0..%d once each" % (len(placed), k, k - 1))
+    for n, idxs in tree.assignments.items():
+        held = set(tree.nodes.get(n, ()))
+        for i in idxs:
+            if n not in tree.nodes or not held.issuperset(potentials[i].domain):
+                raise EngineError("potential %d over %r is placed on %r, which is not a tree node holding that domain" % (i, potentials[i].domain, n))
+    unmentioned = set(targets) - {v for p in potentials for v in p.domain}
+    if unmentioned:
+        raise EngineError("target variable %r appears in no input potential" % min(unmentioned))
     reached = len(tree.rooting.preorder)
     if reached != len(tree.nodes):
-        raise EngineError(
-            "tree is not connected: %d of %d nodes reachable from the root"
-            % (reached, len(tree.nodes))
-        )
+        raise EngineError("tree is not connected: %d of %d nodes reachable from the root" % (reached, len(tree.nodes)))
 
 
 def _edge_key(a, b):
@@ -131,7 +144,7 @@ def _plan(tree: JoinTree, kind: str, potentials, targets, build):
     key = (targets, tuple(p.domain for p in potentials))
     entry = tree.plans.get(kind)
     if entry is None or entry[0] != key or entry[1] != tree.assignments:
-        _check_assignments(tree, potentials)
+        _check_assignments(tree, potentials, targets)
         assignments = {n: list(idxs) for n, idxs in tree.assignments.items()}
         entry = tree.plans[kind] = (key, assignments, build(tree, potentials, targets))
     return entry[2]
@@ -230,6 +243,9 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
     slot unless the tree is one node, which sends nothing, and one marginal
     slot per target, where the LS plan ends; Hugin's plan goes on with one
     register slot per edge and the quotient slot if some send divides.
+    Inward sends come first, so an outward send finds its register written
+    exactly when the receiving child had a table to send inward, that is,
+    when it has one now.
     """
     nodes, cards, k = tree.nodes, tree.cards, len(potentials)
     table = {n: k + i for i, n in enumerate(sorted(nodes))}
@@ -246,7 +262,7 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
             init.append((_MULTIPLY_IN, table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
     # (a, b) -> the plan of b's table with a message over the separator of a and b
     over = {(a, b): multiply_plan(nodes[b], sep, cards) for (a, b), sep in tree.separators.items()}
-    ls, hugin, marks, written = list(init), init, [], set()
+    ls, hugin, marks = list(init), init, []
     parent = tree.rooting.parent
     for a, b in tree.sends:
         if a not in has_table:
@@ -262,7 +278,7 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
         hugin.append(take)
         if not inward and len(tree.adj[b]) == 1 and nodes[b] == sep and len(sep) > 1:
             hugin.append((_COPY, table[b], msg, None, None))  # a leaf served by the register
-        elif e in written:
+        elif not inward and b in has_table:
             hugin_size = quo + 1
             hugin.append((_DIVIDE, quo, msg, register[e], multiply_plan(sep, sep, cards)))
             hugin.append((_MULTIPLY_IN, table[b], table[b], quo, over[a, b]))
@@ -271,7 +287,6 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
         hugin.append((_COPY, register[e], msg, None, None))
         marks.append(("inward" if inward else "outward", a, b, len(hugin)))
         has_table.add(b)
-        written.add(e)
     for x, out in marginals.items():
         d = tree.designated[x]
         ls.append((_MARGINALIZE, out, table[d], None, marginalize_plan(nodes[d], (x,))))
@@ -437,9 +452,11 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     on a connected tree with at least one potential (checked when the plan
     is built) the two sides of any edge together hold one, so a node
     marginal and a separator product are never None.  Each contains its
-    variable x, as long as some potential mentions x (x's CPT does): running
-    intersection keeps x in every node and separator on the path from that
-    potential's node, so the message along that path carries x.
+    variable x, because some potential mentions x, a precondition checked
+    with the others (on a compiled network x's CPT does): that potential
+    sits on a node holding x, and running intersection keeps x in every
+    node and separator on the path from there, so the message along that
+    path carries x.
     """
     plan = _plan(tree, "ss", potentials, _targets(tree, targets), _build_ss_plan)
     return _run("ss", tree, potentials, plan)

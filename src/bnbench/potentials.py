@@ -40,8 +40,9 @@ are immutable, with one exception: ``multiply`` and ``divide`` given
 ``inplace`` write the result into their first operand, which must span the
 result domain, and return it.  Only the engines ask for that, and only for
 a node table that its node alone holds.  ``make_potential``, which makes
-every CPT and evidence table, marks its values read-only, so a write into
-an input raises ``ValueError``.
+every CPT and evidence table, copies its values and marks the copy
+read-only, so a write into an input raises ``ValueError``, and a write
+through the caller's own array leaves the input as it was.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class Potential:
     ``values.shape`` carries the per-variable cardinalities in domain order.
     The values are never written, except by an in-place ``multiply`` or
     ``divide`` on a table its caller owns alone.  The values of a potential
-    from :func:`make_potential` are a read-only array.
+    from :func:`make_potential` are a read-only array of their own.
     """
 
     __slots__ = ("domain", "values")
@@ -113,16 +114,17 @@ class Potential:
 
 
 def make_potential(domain: Sequence[Variable], values) -> Potential:
-    """Build a potential for ``domain`` from row-major ``values``, read-only.
+    """Build a potential for ``domain`` from a read-only copy of row-major ``values``.
 
     CPT and evidence tables are made here and shared by every engine run on
-    a case, so a stray write into one raises instead of changing later runs.
+    a case, so a stray write into one raises instead of changing later runs,
+    and a write through the caller's own handle on ``values`` changes none.
     """
     ids = tuple(v.id for v in domain)
     if len(set(ids)) != len(ids):
         raise PotentialError("duplicate variable in domain %r" % (ids,))
     cards = tuple(v.cardinality for v in domain)
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    arr = np.array(values, dtype=np.float64).reshape(-1)
     expected = math.prod(cards)
     if arr.size != expected:
         raise PotentialError(

@@ -4,7 +4,10 @@ Input, evidence, and output storage are architecture-independent.  The
 architecture-specific part: LS keeps one potential per clique; Hugin adds
 one register per separator; SS keeps no node potentials but fills up to two
 directed message registers per binary-join-tree edge, and only the
-registers an actual demand-driven run touches are counted.
+registers an actual demand-driven run touches are counted.  That count
+replays ``ss_run``, so the engines' one check of an assigned tree (see
+:mod:`bnbench.engines`) refuses an unassigned or misassigned one here too;
+storage has no check of its own.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from bnbench.compile import JoinTree
-from bnbench.engines import EngineError, _targets, ss_run
+from bnbench.engines import _targets, ss_run
 from bnbench.network import BayesNet, evidence_potentials, input_potentials
 
 
@@ -51,8 +54,6 @@ def storage_report(arch: str, tree: JoinTree, net: BayesNet, evidence: dict, tar
             separator_fpn = sum(tree.sep_spaces[e] for e in tree.edges())
     elif arch == "ss":
         clique_fpn = 0
-        if not tree.assignments:
-            raise EngineError("storage analysis needs an assigned tree")
         pots, _ = input_potentials(net, evidence)
         probe = ss_run(tree, pots, targets)
         separator_fpn = sum(

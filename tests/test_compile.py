@@ -498,8 +498,16 @@ CRITERION_6 = [
 ]
 
 
-@pytest.mark.parametrize("params,trials", CRITERION_5 + CRITERION_6)
+# Trial 0 of perfbench's `long` workload and trials 0-4 of its `wide` one.
+BENCH_SHAPES = [
+    (GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013), 1),
+    (GenParams(n=14, c1=6, c2=5, m=6, p=3, seed=2013), 5),
+]
+
+
+@pytest.mark.parametrize("params,trials", CRITERION_5 + CRITERION_6 + BENCH_SHAPES)
 def test_attach_singletons_is_a_noop_on_acceptance_populations(params, trials):
+    """Every variable has a singleton node in the compiled binary tree; compile relies on it unchecked."""
     for t in range(trials):
         net, ev = random_case(params, t)
         _, hypergraph = input_potentials(net, ev)

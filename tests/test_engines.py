@@ -1170,3 +1170,89 @@ class TestErrors:
     def test_unknown_target_rejected(self, chest_comp):
         with pytest.raises(EngineError):
             ss_run(chest_comp.binary, chest_comp.potentials, targets=[42])
+
+
+def _moved(tree: JoinTree, i: int, dest) -> JoinTree:
+    """A copy of ``tree`` whose assignments place potential ``i`` on ``dest`` instead."""
+    moved = {n: [j for j in idxs if j != i] for n, idxs in tree.assignments.items()}
+    moved.setdefault(dest, []).append(i)
+    return JoinTree(tree.kind, tree.nodes, tree.adj, tree.cards, moved)
+
+
+class TestMisplacedInputsRejected:
+    """Inputs that, unchecked, ran to wrong marginals or failed inside numpy are refused by all three engines."""
+
+    # potential 8 is the evidence on A; the evidence A = yes must give P(A = yes) = 1
+    @pytest.mark.parametrize("dest", [999, 1], ids=["no-node", "node-lacking-the-domain"])
+    @pytest.mark.parametrize("kind", ["junction", "binary"])
+    def test_chest_evidence_moved(self, chest, chest_evidence, chest_comp, kind, dest):
+        tree = getattr(chest_comp, kind)
+        assert chest_comp.potentials[8].domain == (0,)
+        assert dest not in tree.nodes or 0 not in tree.nodes[dest]
+        bad = _moved(tree, 8, dest)
+        for run in (ls_run, hugin_run, ss_run):
+            with pytest.raises(EngineError, match="^potential 8 over \\(0,\\) is placed on %d" % dest):
+                run(bad, chest_comp.potentials)
+        with pytest.raises(EngineError, match="^potential 8 "):
+            storage.storage_report("ss", bad, chest, chest_evidence)
+        assert bad.plans == {}
+
+    @pytest.mark.parametrize("kind", ["junction", "binary"])
+    def test_index_out_of_range(self, chest_comp, kind):
+        tree = getattr(chest_comp, kind)
+        k = len(chest_comp.potentials)
+        for idx in (k, -1):
+            assignments = {n: list(idxs) for n, idxs in tree.assignments.items()}
+            assignments[min(tree.nodes)].append(idx)
+            bad = JoinTree(tree.kind, tree.nodes, tree.adj, tree.cards, assignments)
+            for run in (ls_run, hugin_run, ss_run):
+                with pytest.raises(EngineError, match="^tree assignments place %d potential indices" % (k + 1)):
+                    run(bad, chest_comp.potentials)
+
+    def test_target_in_no_potential(self):
+        # variable 2 lies in nodes 1 and 2, but the one potential spans (0, 1)
+        tree = JoinTree(
+            "junction",
+            {0: (0, 1), 1: (1, 2), 2: (2,)},
+            {0: [1], 1: [0, 2], 2: [1]},
+            {0: 2, 1: 2, 2: 2},
+            {0: [0]},
+        )
+        pots = [from_values((0, 1), (2, 2), [0.2, 0.3, 0.4, 0.1])]
+        for run in (ls_run, hugin_run, ss_run):
+            for targets in (None, [2], [0, 2]):
+                with pytest.raises(EngineError, match="^target variable 2 appears in no input potential$"):
+                    run(tree, pots, targets)
+            res = run(tree, pots, [0, 1])
+            np.testing.assert_allclose(res.singleton_marginals[0].values, [0.5, 0.5])
+            np.testing.assert_allclose(res.singleton_marginals[1].values, [0.6, 0.4])
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+        st.integers(2, 3),
+        st.integers(2, 3),
+        st.sampled_from(["junction", "binary"]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_moving_a_potential(self, seed, n, c2, m, kind, data):
+        """A potential moved to another node holding its domain changes no marginal; elsewhere it is refused."""
+        net, ev = random_case(GenParams(n=n, c2=c2, m=m, p=min(2, n), seed=seed), 0)
+        comp = compile_structures(net, ev)
+        tree = getattr(comp, kind)
+        i = data.draw(st.integers(0, len(comp.potentials) - 1), label="potential")
+        home = next(h for h, idxs in tree.assignments.items() if i in idxs)
+        fits = data.draw(st.booleans(), label="destination holds the domain")
+        dom = set(comp.potentials[i].domain)
+        others = [d for d in sorted(tree.nodes) if d != home and (dom <= set(tree.nodes[d])) == fits]
+        assume(others)
+        moved = _moved(tree, i, data.draw(st.sampled_from(others), label="destination"))
+        if fits:
+            oracle = oracle_marginals(net, ev)
+            for run in (ls_run, hugin_run, ss_run):
+                assert _worst(run(moved, comp.potentials), oracle) <= 1e-9
+        else:
+            for run in (ls_run, hugin_run, ss_run):
+                with pytest.raises(EngineError, match="^potential %d over" % i):
+                    run(moved, comp.potentials)

@@ -616,3 +616,12 @@ class TestVariable:
             make_potential([A, B], [0.5, 0.5, -0.1, 1.1])
         with pytest.raises(PotentialError, match="^duplicate variable"):
             make_potential([A, A], [1.0] * 4)
+
+    def test_make_potential_copies_the_callers_array(self):
+        # a float64 array would pass through np.asarray as the same memory
+        for given in (np.array([0.3, 0.7]), np.array([[0.3, 0.7]]), np.array([0.3, 0.7], dtype=np.float32)):
+            p = make_potential([A], given)
+            assert not np.shares_memory(given, p.values)
+            given[...] = 5.0
+            np.testing.assert_allclose(p.values, [0.3, 0.7], rtol=1e-7)
+            assert not p.values.flags.writeable
