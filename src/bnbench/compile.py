@@ -56,8 +56,9 @@ class JoinTree:
     cached properties ``spaces``, ``separators``, ``sep_spaces``,
     ``holders``, ``rooting``, ``sends``, ``designated`` and
     ``best_separators``) is computed on first use and kept for the life of
-    the tree.  Code that edits a tree's structure must build a new JoinTree
-    instead.
+    the tree.  ``separators`` is the tree's one walk of its edges, and
+    :meth:`edges` reads its keys.  Code that edits a tree's structure must
+    build a new JoinTree instead.
 
     ``plans`` holds the engines' propagation plans, each a flat step list
     over numbered slots (see :mod:`bnbench.engines`), built on a tree's
@@ -77,12 +78,8 @@ class JoinTree:
     plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def edges(self):
-        out = []
-        for u in sorted(self.nodes):
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
+        """Every edge ``(u, v)`` once, ``u < v``, in the order of :attr:`separators`."""
+        return [e for e in self.separators if e[0] < e[1]]
 
     def separator(self, u, v):
         """Variables shared by adjacent nodes u and v, ascending."""
@@ -98,11 +95,16 @@ class JoinTree:
 
     @cached_property
     def separators(self) -> dict:
-        """(u, v) -> separator of the edge, under both orientations of every edge."""
+        """(u, v) -> separator of the edge, under both orientations of every edge.
+
+        The tree's one edge pass: nodes in ascending id, each one's higher
+        neighbors in ``adj`` order, ``(u, v)`` with ``u < v`` entered first.
+        """
         out = {}
-        for u, v in self.edges():
-            sep = tuple(sorted(set(self.nodes[u]) & set(self.nodes[v])))
-            out[u, v] = out[v, u] = sep
+        for u in sorted(self.nodes):
+            for v in self.adj[u]:
+                if u < v:
+                    out[u, v] = out[v, u] = tuple(sorted(set(self.nodes[u]) & set(self.nodes[v])))
         return out
 
     @cached_property

@@ -347,15 +347,24 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
     new slot only when it emits a step: like a message whose product holds
     nothing outside its separator, a marginal whose source spans only its
     target is that source's slot, and no step copies it.
+
+    A target is extracted through a separator (``via``) only when one is
+    strictly smaller than its designated node.  A separator holding x spans
+    at least ``cards[x]``, so ``tree.best_separators`` is read only for a
+    target whose designated node spans more than that; on a binary tree
+    every designated node is a singleton, and neither ``best_separators``
+    nor ``sep_spaces`` is built.
     """
     cards = tree.cards
     root, _, postorder, parent, _ = tree.rooting
     designated = tree.designated
     via = {}
     for x in targets:
-        best = tree.best_separators.get(x)
-        if best is not None and best[0] < tree.statespace(designated[x]):
-            via[x] = best[1]
+        space = tree.statespace(designated[x])
+        if space > cards[x]:  # a separator holding x spans at least cards[x]
+            best = tree.best_separators.get(x)
+            if best is not None and best[0] < space:
+                via[x] = best[1]
     sinks = {designated[x] for x in targets}.union(*via.values())
     below = dict.fromkeys(postorder, 0)
     for n in sinks:
@@ -444,9 +453,11 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
 
     Singleton extraction: when some separator containing the variable is
     strictly smaller than the designated node, the product of that
-    separator's two directed messages is marginalized instead; on a binary
-    join tree with singleton nodes this never fires and the singleton's own
-    node marginal is already the answer.
+    separator's two directed messages is marginalized instead.  The
+    separator index is consulted only where a separator can be smaller,
+    that is where the designated node spans more than the variable; on a
+    binary join tree with singleton nodes it never is, and the singleton's
+    own node marginal is already the answer.
 
     No uniform stand-in is needed.  Every message toward a sink is sent, and
     on a connected tree with at least one potential (checked when the plan

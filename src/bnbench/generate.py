@@ -4,10 +4,11 @@ Construction follows the stated parameter semantics: variables are added in
 index order; variable i draws a connection count k uniformly from [1, c2]
 (capped by the candidate window), connects to k distinct earlier variables
 within ordering distance c1, and each connection is oriented parent-of-i or
-child-of-i with equal probability, falling back to parent when the child
-orientation would close a directed cycle.  Cardinalities are uniform on
-[2, m]; CPT entries are uniform on (0, 1) normalized per parent
-configuration.  Everything is a pure function of the seed.
+child-of-i with equal probability.  An orientation that would close a
+directed cycle falls back to the other one: child to parent, and parent to
+child.  Cardinalities are uniform on [2, m]; CPT entries are uniform on
+(0, 1) normalized per parent configuration.  Everything is a pure function
+of the seed.
 """
 
 from __future__ import annotations

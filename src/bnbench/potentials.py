@@ -119,6 +119,7 @@ def make_potential(domain: Sequence[Variable], values) -> Potential:
     CPT and evidence tables are made here and shared by every engine run on
     a case, so a stray write into one raises instead of changing later runs,
     and a write through the caller's own handle on ``values`` changes none.
+    A NaN, an infinite or a negative entry raises :class:`PotentialError`.
     """
     ids = tuple(v.id for v in domain)
     if len(set(ids)) != len(ids):
@@ -130,6 +131,8 @@ def make_potential(domain: Sequence[Variable], values) -> Potential:
         raise PotentialError(
             "values length %d does not match domain size %d" % (arr.size, expected)
         )
+    if not np.isfinite(arr).all():
+        raise PotentialError("non-finite value in potential")
     if (arr < 0).any():
         raise PotentialError("negative value in potential")
     values = arr.reshape(cards)

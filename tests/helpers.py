@@ -6,8 +6,8 @@ The ``reference_*`` functions are:
 
 * the earlier, plainer forms of the potential kernels, which the trimmed
   kernels in ``bnbench.potentials`` must match bit for bit;
-* the straightforward scans over every node or edge (separators, state
-  spaces, root, rooted orders, designated nodes, best separators, hosts)
+* the straightforward scans over every node or edge (edges, separators,
+  state spaces, root, rooted orders, designated nodes, best separators, hosts)
   that each tree's cached index in ``bnbench.compile.JoinTree`` must
   reproduce;
 * the join-tree check with its own connectivity walk and one walk per
@@ -238,10 +238,15 @@ def reference_designated(tree: JoinTree, x: int):
     return min(holders, key=lambda n: (reference_space(tree, tree.nodes[n]), n))
 
 
+def reference_edges(tree: JoinTree) -> list:
+    """Every edge (u, v) with u < v: nodes in ascending id, each one's neighbors in ``adj`` order."""
+    return [(u, v) for u in sorted(tree.nodes) for v in tree.adj[u] if u < v]
+
+
 def reference_best_separator(tree: JoinTree, x: int):
     """Smallest separator containing x as (state space, edge), or None."""
     best = None
-    for u, v in tree.edges():
+    for u, v in reference_edges(tree):
         sep = reference_separator(tree, u, v)
         if x in sep:
             cand = (reference_space(tree, sep), (u, v))

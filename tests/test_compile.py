@@ -21,6 +21,7 @@ from bnbench.compile import (
 from bnbench.fileio import tree_dump
 from bnbench.generate import GenParams, random_case
 from bnbench.network import input_potentials
+from bnbench.potentials import PotentialError
 from helpers import (
     reference_binary_join_tree,
     reference_condense,
@@ -137,6 +138,12 @@ class TestChestJunctionTree:
     def test_root_is_biggest_statespace_lowest_id(self, chest_comp):
         assert chest_comp.junction.rooting.root == 1
         assert chest_comp.binary.rooting.root == 11
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_evidence_is_refused(chest, bad):
+    with pytest.raises(PotentialError, match="^non-finite value in potential$"):
+        compile_structures(chest, {0: [bad, 1.0]})
 
 
 class TestAttachSingletons:

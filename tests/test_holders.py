@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnbench.compile import JoinTree, compile_structures
-from bnbench.engines import hugin_run, ss_run
+from bnbench.engines import _MARGINALIZE, _MULTIPLY, hugin_run, ss_run
 from bnbench.generate import GenParams, random_case
+from bnbench.network import chest_clinic, chest_clinic_evidence
 from helpers import (
     reference_best_separator,
     reference_designated,
+    reference_edges,
     reference_host,
     reference_orient,
     reference_root,
@@ -15,6 +19,8 @@ from helpers import (
 
 # (seed, n, m): sizes from 6 to 40 variables, cardinalities up to 2, 3 and 4.
 CASES = [(seed, n, m) for seed, n in enumerate((6, 9, 13, 18, 24, 31, 40)) for m in (2, 3, 4)]
+LONG = GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013)
+WIDE = GenParams(n=14, c1=6, c2=5, m=6, p=3, seed=2013)
 
 
 def _assert_index_matches_full_scans(comp):
@@ -73,3 +79,71 @@ def test_engines_build_separators_a_few_times_per_edge(monkeypatch):
         calls.clear()
         run(tree, comp.potentials)
         assert 0 < len(calls) < 10 * len(tree.edges())
+
+
+def _fresh_bench_comps():
+    """The chest, ``long`` trial 0 and ``wide`` trials 0-4, newly compiled: no index read yet."""
+    yield compile_structures(chest_clinic(), chest_clinic_evidence())
+    yield compile_structures(*random_case(LONG, 0))
+    for t in range(5):
+        yield compile_structures(*random_case(WIDE, t))
+
+
+def test_ss_builds_no_separator_index_on_a_binary_tree():
+    """Each designated node of a binary tree is a singleton, and no separator is smaller."""
+    for comp in _fresh_bench_comps():
+        ss_run(comp.binary, comp.potentials)
+        assert "sep_spaces" not in vars(comp.binary)
+        assert "best_separators" not in vars(comp.binary)
+
+
+def test_edges_follow_the_adjacency_walk():
+    for comp in _fresh_bench_comps():
+        for tree in (comp.junction, comp.binary):
+            assert tree.edges() == reference_edges(tree)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(2, 4), st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_edges_follow_the_adjacency_walk_on_random_networks(seed, n, c2, m):
+    comp = compile_structures(*random_case(GenParams(n=n, c2=c2, m=m, p=1, seed=seed), 0))
+    for tree in (comp.junction, comp.binary):
+        assert tree.edges() == reference_edges(tree)
+
+
+def test_ss_extracts_through_separators_on_the_chest_junction_tree():
+    """A target whose smallest separator beats its designated node is read off the separator product."""
+    comp = compile_structures(chest_clinic(), chest_clinic_evidence())
+    tree = comp.junction
+    ss_run(tree, comp.potentials)
+    plan = tree.plans["ss"][2]
+    writes = {out: (kind, a, b) for kind, out, a, b, _ in plan.steps}
+    via = []
+    for x in sorted(tree.cards):
+        best = reference_best_separator(tree, x)
+        if best is not None and best[0] < reference_space(tree, tree.nodes[reference_designated(tree, x)]):
+            u, v = best[1]
+            step = writes[plan.marginals[x]]
+            if step[0] == _MARGINALIZE:  # else the product spans x alone and is the marginal
+                step = writes[step[1]]
+            assert step == (_MULTIPLY, plan.messages[u, v], plan.messages[v, u])
+            via.append(x)
+    assert via == [2, 3, 4, 5]
+
+
+def test_best_separator_ties_go_to_the_lowest_edge(chest_comp):
+    """Variables 3 and 4 each lie in two chest junction separators of space 4, their smallest."""
+    tree = chest_comp.junction
+    by_space = {}
+    for u, v in reference_edges(tree):
+        sep = reference_separator(tree, u, v)
+        for x in sep:
+            by_space.setdefault(x, {}).setdefault(reference_space(tree, sep), []).append((u, v))
+    tied = {x: spaces[min(spaces)] for x, spaces in by_space.items() if len(spaces[min(spaces)]) > 1}
+    assert tied == {3: [(1, 5), (4, 5)], 4: [(3, 5), (4, 5)]}
+    hugin_run(tree, chest_comp.potentials)
+    plan = tree.plans["ls/hugin"][2][1]
+    writes = {out: (kind, a) for kind, out, a, _, _ in plan.steps}
+    for x, edges in tied.items():
+        assert tree.best_separators[x] == (4, edges[0])
+        assert writes[plan.marginals[x]] == (_MARGINALIZE, plan.messages[edges[0]])

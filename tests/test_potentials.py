@@ -617,6 +617,11 @@ class TestVariable:
         with pytest.raises(PotentialError, match="^duplicate variable"):
             make_potential([A, A], [1.0] * 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_make_potential_refuses_non_finite_values(self, bad):
+        with pytest.raises(PotentialError, match="^non-finite value in potential$"):
+            make_potential([A, B], [0.5, 0.5, bad, 1.0])
+
     def test_make_potential_copies_the_callers_array(self):
         # a float64 array would pass through np.asarray as the same memory
         for given in (np.array([0.3, 0.7]), np.array([[0.3, 0.7]]), np.array([0.3, 0.7], dtype=np.float32)):
