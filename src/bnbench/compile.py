@@ -57,8 +57,12 @@ class JoinTree:
     ``holders``, ``rooting``, ``sends``, ``designated`` and
     ``best_separators``) is computed on first use and kept for the life of
     the tree.  ``separators`` is the tree's one walk of its edges, and
-    :meth:`edges` reads its keys.  Code that edits a tree's structure must
-    build a new JoinTree instead.
+    :meth:`edges` reads its keys.  SS never reads ``separators`` itself:
+    its messages are marginalized onto the receiver's domain, and only
+    ``best_separators`` reads it, for a junction-tree extraction, so a
+    binary tree that only SS and its storage count run on never builds
+    it.  Code that edits a tree's structure must build a new JoinTree
+    instead.
 
     ``plans`` holds the engines' propagation plans, each a flat step list
     over numbered slots (see :mod:`bnbench.engines`), built on a tree's

@@ -342,18 +342,22 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
 
     ``held`` maps each own product (keyed by node) and each demanded
     message (keyed by its directed edge) to its ``(slot, domain)``, or to
-    None for a vacuous message.  Every product, message, node product,
-    separator product and marginal comes from ``product``, which takes a
-    new slot only when it emits a step: like a message whose product holds
-    nothing outside its separator, a marginal whose source spans only its
-    target is that source's slot, and no step copies it.
+    None for a vacuous message.  A message a -> b is its fold marginalized
+    onto b's domain.  That sums out exactly what lies outside the
+    separator, because the fold lies in a's node: every message into a is
+    marginalized onto a's domain, and each own potential is placed inside
+    it.  So no message reads the separator index.  Every product, message,
+    node product, separator product and marginal comes from ``product``,
+    which takes a new slot only when it emits a step: like a message whose
+    product holds nothing outside its separator, a marginal whose source
+    spans only its target is that source's slot, and no step copies it.
 
     A target is extracted through a separator (``via``) only when one is
     strictly smaller than its designated node.  A separator holding x spans
     at least ``cards[x]``, so ``tree.best_separators`` is read only for a
     target whose designated node spans more than that; on a binary tree
-    every designated node is a singleton, and neither ``best_separators``
-    nor ``sep_spaces`` is built.
+    every designated node is a singleton, so SS builds no separator index
+    there at all.
     """
     cards = tree.cards
     root, _, postorder, parent, _ = tree.rooting
@@ -414,7 +418,7 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
         if not (below[root] - below[a] if parent[a] == b else below[b]):
             continue  # no sink lies on b's side
         parts = inputs(a, b)
-        held[e] = product(parts, tree.separator(a, b)) if parts else None
+        held[e] = product(parts, tree.nodes[b]) if parts else None
         messages[e] = None if held[e] is None else held[e][0]
 
     nodes, seps, marginals = {}, {}, {}
@@ -446,9 +450,10 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     ``tree.sends``, so every message a sender folds already exists.  A
     message from a toward b folds the messages from a's other
     neighbors (ascending neighbor id) and finally a's combined own potential,
-    then marginalizes onto the separator, a step the plan leaves out when
-    the product holds no variable outside it; with nothing to fold it is
-    vacuous (None).  Node marginals fold all incoming messages plus the own
+    then marginalizes onto b's domain, which leaves the separator, because
+    the fold lies in a's node; the plan leaves that step out when the
+    product holds no variable outside b.  With nothing to fold the message
+    is vacuous (None).  Node marginals fold all incoming messages plus the own
     potential.  Input potentials are never touched.
 
     Singleton extraction: when some separator containing the variable is

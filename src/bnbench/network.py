@@ -68,6 +68,8 @@ class BayesNet:
 
 def validate(net: BayesNet) -> list:
     """Return a list of violation strings; empty iff the network is valid."""
+    if not net.variables:
+        return ["network has no variables"]
     problems = []
     ids = [v.id for v in net.variables]
     if ids != list(range(len(ids))):
@@ -272,8 +274,11 @@ def joint_oracle(net: BayesNet, evidence: dict, cap: int = ORACLE_CAP) -> Potent
     """Unnormalized posterior joint by direct combination of every input.
 
     Out-of-band reference: runs on its own scratch counter so instrumented
-    totals are never polluted.  Refuses joints above ``cap`` configurations.
+    totals are never polluted.  Refuses a network with no variables, which
+    has no joint to combine, and joints above ``cap`` configurations.
     """
+    if not net.variables:
+        raise NetworkError("network has no variables")
     size = 1
     for v in net.variables:
         size *= v.cardinality

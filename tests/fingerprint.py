@@ -1,12 +1,13 @@
-"""One sha256 over everything the engines and the storage reports output on a fixed case set.
+"""Two sha256 digests over a fixed case set: what the engines output, and the plans they run.
 
 Run from the repository root with
 
     PYTHONPATH=src python tests/fingerprint.py
 
-and compare the printed hash across two versions of ``src/`` to show that
-a change leaves every count, table and hook call as it was.  The hash
-covers, for LS, Hugin and SS on both trees of each case and each target
+and compare the two printed lines across two versions of ``src/``.  The
+first line shows that a change leaves every count, table and hook call as
+it was; the second, that it leaves every plan step as it was.  The first
+hash covers, for LS, Hugin and SS on both trees of each case and each target
 set: the counters, the singleton and node marginals (values and key
 order), the SS messages and Hugin registers, every ``on_step`` call of a
 Hugin run, and the storage report of each architecture.  A run that
@@ -14,16 +15,24 @@ raises contributes its exception instead.  Within a hooked run each table
 handed to the hook is hashed once, and later calls that hand it again feed
 its digest (see :class:`Fingerprint`).
 
+The second hash covers the ``repr`` of the LS/Hugin plan pair
+(``engines._build_table_plans``) and of the SS plan
+(``engines._build_ss_plan``) on both trees of each case and each target
+set, built directly from the targets ``engines._targets`` gives, not
+fetched from the tree's plan cache: every step's kind, slots and kernel
+plan, and where each node table, message and marginal ends.
+
 Cases: the chest clinic, 40 trials of each acceptance-criterion-6 preset,
 trials 0-9 of ``wide`` and 0-2 of ``long``, all at seed 2013, each with
 the targets all, ``[0]``, ``[]`` and ``[3, 1, 5]``.  Not a pytest module:
-it runs for about 17 s on a shared 2-core x86_64 host.
+it runs for about 20 s on a shared 2-core x86_64 host.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from bnbench import engines
 from bnbench.compile import compile_structures
 from bnbench.engines import hugin_run, ls_run, ss_run
 from bnbench.generate import GenParams, random_case
@@ -106,10 +115,18 @@ class Fingerprint:
             return None
 
 
+def plan_reprs(tree, potentials, targets):
+    """The ``repr`` of the LS/Hugin plan pair and of the SS plan of ``tree`` for ``targets``."""
+    targets = engines._targets(tree, targets)
+    pair = engines._build_table_plans(tree, potentials, targets)
+    return repr(pair), repr(engines._build_ss_plan(tree, potentials, targets))
+
+
 def main():
-    fp = Fingerprint()
+    fp, plans = Fingerprint(), Fingerprint()
     for label, net, evidence in cases():
         fp.text("case", label)
+        plans.text("case", label)
         comp = compile_structures(net, evidence)
         for tree in (comp.junction, comp.binary):
             for targets in TARGETS:
@@ -126,7 +143,9 @@ def main():
                     report = fp.guarded(storage_report, arch, tree, net, evidence, targets)
                     if report is not None:
                         fp.text("storage", vars(report))
+                plans.text("tree", tree.kind, targets, plans.guarded(plan_reprs, tree, comp.potentials, targets))
     print(fp.sha.hexdigest())
+    print(plans.sha.hexdigest())
 
 
 if __name__ == "__main__":

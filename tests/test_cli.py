@@ -341,6 +341,15 @@ ZERO_MASS_MESSAGE = (
 )
 
 
+class TestEmptyNetwork:
+    @pytest.mark.parametrize("command", ["infer", "verify", "compile"])
+    def test_is_refused_without_a_traceback(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"variables": [], "cpts": {}}))
+        assert main([command, "--network", str(path)]) == 2
+        assert capsys.readouterr().err == "error: network has no variables\n"
+
+
 class TestZeroMassEvidence:
     @pytest.fixture()
     def path(self, tmp_path):

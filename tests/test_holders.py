@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnbench import cli
 from bnbench.compile import JoinTree, compile_structures
 from bnbench.engines import _MARGINALIZE, _MULTIPLY, hugin_run, ss_run
 from bnbench.generate import GenParams, random_case
@@ -75,26 +76,49 @@ def test_engines_build_separators_a_few_times_per_edge(monkeypatch):
         return separator(tree, u, v)
 
     monkeypatch.setattr(JoinTree, "separator", counted)
-    for run, tree in ((hugin_run, comp.junction), (ss_run, comp.binary)):
-        calls.clear()
-        run(tree, comp.potentials)
-        assert 0 < len(calls) < 10 * len(tree.edges())
+    hugin_run(comp.junction, comp.potentials)
+    assert 0 < len(calls) < 10 * len(comp.junction.edges())
+    calls.clear()
+    ss_run(comp.binary, comp.potentials)  # each message is marginalized onto its receiver's domain
+    assert calls == []
+
+
+def _bench_cases():
+    """``(net, evidence)`` of the chest, ``long`` trial 0 and ``wide`` trials 0-4."""
+    yield chest_clinic(), chest_clinic_evidence()
+    yield random_case(LONG, 0)
+    for t in range(5):
+        yield random_case(WIDE, t)
 
 
 def _fresh_bench_comps():
-    """The chest, ``long`` trial 0 and ``wide`` trials 0-4, newly compiled: no index read yet."""
-    yield compile_structures(chest_clinic(), chest_clinic_evidence())
-    yield compile_structures(*random_case(LONG, 0))
-    for t in range(5):
-        yield compile_structures(*random_case(WIDE, t))
+    """The :func:`_bench_cases`, newly compiled: no index read yet."""
+    for net, ev in _bench_cases():
+        yield compile_structures(net, ev)
 
 
-def test_ss_builds_no_separator_index_on_a_binary_tree():
-    """Each designated node of a binary tree is a singleton, and no separator is smaller."""
-    for comp in _fresh_bench_comps():
-        ss_run(comp.binary, comp.potentials)
-        assert "sep_spaces" not in vars(comp.binary)
-        assert "best_separators" not in vars(comp.binary)
+def test_ss_builds_no_separator_index_on_a_binary_tree(monkeypatch):
+    """A bench trial builds no separator index of its binary tree.
+
+    The trial runs the three engines on their natural trees and takes each
+    one's storage figures and peak.  On the binary tree SS marginalizes each
+    message onto its receiver's domain, and each designated node is a
+    singleton, so no separator is smaller.
+    """
+    compiled = []
+
+    def compile_and_keep(net, ev):
+        compiled.append(compile_structures(net, ev))
+        return compiled[-1]
+
+    monkeypatch.setattr(cli, "compile_structures", compile_and_keep)
+    for case in _bench_cases():
+        monkeypatch.setattr(cli, "random_case", lambda params, t: case)
+        cli._bench_trial(LONG, 0)
+        binary = compiled[-1].binary
+        for index in ("separators", "sep_spaces", "best_separators"):
+            assert index not in vars(binary)
+    assert len(compiled) == 7
 
 
 def test_edges_follow_the_adjacency_walk():

@@ -34,6 +34,9 @@ class TestValidate:
     def test_chest_is_clean(self, chest):
         assert validate(chest) == []
 
+    def test_empty_network_reported(self):
+        assert validate(BayesNet([], [], {})) == ["network has no variables"]
+
     def test_figure9_is_clean(self):
         assert validate(figure9_net()) == []
 
@@ -171,6 +174,10 @@ class TestOracle:
     def test_cap_refused(self, chest):
         with pytest.raises(NetworkError):
             joint_oracle(chest, {}, cap=255)
+
+    def test_empty_network_refused(self):
+        with pytest.raises(NetworkError, match="network has no variables"):
+            oracle_marginals(BayesNet([], [], {}), {})
 
     def test_zero_mass_evidence_raises(self):
         net = tiny_chain()
