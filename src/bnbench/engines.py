@@ -4,10 +4,10 @@ All engines run on a compiled, potential-assigned JoinTree and charge a
 single OpCounter.  Shared conventions that the counting targets pin down:
 
 * An absent table means "nothing yet".  LS and Hugin node tables and Hugin
-  separator registers start empty.  A product into an empty table is the
-  free load: the first factor is copied in (``embed``) and nothing is
-  charged; every later factor costs one multiplication per node
-  configuration.  Initialization is counted.
+  separator registers start empty.  The first factor into a node's table
+  is the free load, a copy step that embeds it over the node's domain
+  (``embed``) and charges nothing; every later factor costs one
+  multiplication per node configuration.  Initialization is counted.
 * A node with no table when it must send stays silent: the message would
   be vacuous, so nothing is counted, the register stays empty, and the
   receiver skips the product.  A vacuous SS message is stored as None.
@@ -21,14 +21,15 @@ single OpCounter.  Shared conventions that the counting targets pin down:
 
 Every domain an engine meets follows from the tree, its assignments and
 the domains of the potentials, never from their values.  So each run
-executes a plan (:class:`_Plan`): a flat list of steps over numbered
-slots, each an op kind (multiply, marginalize, divide or copy, and
-multiply or divide in place), its output
-and operand slots and its kernel plan (``marginalize_plan`` for a
-marginalization, else ``multiply_plan``), plus the slots where node tables,
-messages and each target's marginal end.  The last steps marginalize each
-target's source onto it; an SS source that spans only its target gets no
-step, and its slot is the marginal's.
+executes a plan (:class:`_Plan`) built from those alone: a flat list of
+steps over numbered slots, each an op kind (multiply, marginalize, divide
+or copy, and multiply or divide in place), its output and operand slots
+and its kernel plan (``marginalize_plan`` for a marginalization, none for
+a copy that shares its table, else ``multiply_plan``), plus the slots
+where node tables, messages and each target's marginal end.  What a step
+costs is read off the step itself, never off which slots are empty.  The
+last steps marginalize each target's source onto it; an SS source that
+spans only its target gets no step, and its slot is the marginal's.
 The three architectures differ only in the steps their builders emit; one
 executor, :func:`_execute`, runs them all and is the only caller of the
 counted kernels.  Every run checks its targets, fetches its plan, executes
@@ -42,16 +43,17 @@ numbers, so every counted operation is still performed and charged on
 every run.
 
 Ownership: every table has one owner.  No kernel returns an operand's
-table (a marginalization that sums out nothing copies), a free load embeds
-a fresh copy, and a register keeps the message it is given, a table no
-step writes.  So each node table is its node's alone, and every LS and
-Hugin product into it, and every LS quotient of it, is written in place.
-Hugin's leaf served by a register shares that register's table; it
-receives nothing after that.  Input potentials are never written (those
-from ``make_potential`` are read-only).  With ``on_step`` the hook gets
-copies of the node tables: each is made after the send that last wrote its
-table and handed again to every later call, so what the hook keeps stays
-as it was as long as the hook writes none.
+table (a marginalization that sums out nothing copies), and a copy step
+with a kernel plan, the free load, embeds a fresh table.  A copy without
+one shares its operand's table: a register keeps the message it is given,
+a table no step writes, and Hugin's leaf served by a register shares that
+register's table and receives nothing after that.  So each node table is
+its node's alone, and every LS and Hugin product into it, and every LS
+quotient of it, is written in place.  Input potentials are never written
+(those from ``make_potential`` are read-only).  With ``on_step`` the hook
+gets copies of the node tables: each is made after the send that last
+wrote its table and handed again to every later call, so what the hook
+keeps stays as it was as long as the hook writes none.
 """
 
 from __future__ import annotations
@@ -89,17 +91,18 @@ class EngineResult:
     messages: dict
 
 
-def _check_assignments(tree: JoinTree, potentials, targets=()):
+def _check_assignments(tree: JoinTree, domains, targets=()):
     """Refuse inputs no run can be right on: the one check of a runnable assigned tree.
 
-    :func:`_plan` calls it before every build, so every engine run and the
-    SS storage replay pass it.  Refused, with :class:`EngineError`: no
-    potentials; a potential not placed exactly once (an index out of range
-    included), or placed on an id that is no node or on a node whose domain
-    lacks a variable of the potential's; a target that no potential
-    mentions; a tree the rooting does not reach.
+    ``domains`` are the input potentials' domains, in input order; no value
+    is read.  :func:`_plan` calls it before every build, so every engine
+    run and the SS storage replay pass it.  Refused, with
+    :class:`EngineError`: no potentials; a potential not placed exactly
+    once (an index out of range included), or placed on an id that is no
+    node or on a node whose domain lacks a variable of the potential's; a
+    target that no potential mentions; a tree the rooting does not reach.
     """
-    k = len(potentials)
+    k = len(domains)
     if not k:
         raise EngineError("no input potentials to propagate")
     placed = sorted(i for idxs in tree.assignments.values() for i in idxs)
@@ -108,9 +111,9 @@ def _check_assignments(tree: JoinTree, potentials, targets=()):
     for n, idxs in tree.assignments.items():
         held = set(tree.nodes.get(n, ()))
         for i in idxs:
-            if n not in tree.nodes or not held.issuperset(potentials[i].domain):
-                raise EngineError("potential %d over %r is placed on %r, which is not a tree node holding that domain" % (i, potentials[i].domain, n))
-    unmentioned = set(targets) - {v for p in potentials for v in p.domain}
+            if n not in tree.nodes or not held.issuperset(domains[i]):
+                raise EngineError("potential %d over %r is placed on %r, which is not a tree node holding that domain" % (i, domains[i], n))
+    unmentioned = set(targets) - {v for dom in domains for v in dom}
     if unmentioned:
         raise EngineError("target variable %r appears in no input potential" % min(unmentioned))
     reached = len(tree.rooting.preorder)
@@ -138,21 +141,23 @@ def _plan(tree: JoinTree, kind: str, potentials, targets, build):
     from, and a kept plan serves only while the targets, the domains and
     ``tree.assignments`` all equal what it was built from, so an edit in
     place is seen like a new dict.  Otherwise the inputs are checked and
-    ``build(tree, potentials, targets)`` makes a new plan; a kept plan's
-    inputs passed that check when it was built.
+    ``build(tree, domains, targets)`` makes a new plan from the tuple of
+    the potentials' domains, never their values; a kept plan's inputs
+    passed that check when it was built.
     """
     key = (targets, tuple(p.domain for p in potentials))
     entry = tree.plans.get(kind)
     if entry is None or entry[0] != key or entry[1] != tree.assignments:
-        _check_assignments(tree, potentials, targets)
+        _check_assignments(tree, key[1], targets)
         assignments = {n: list(idxs) for n, idxs in tree.assignments.items()}
-        entry = tree.plans[kind] = (key, assignments, build(tree, potentials, targets))
+        entry = tree.plans[kind] = (key, assignments, build(tree, key[1], targets))
     return entry[2]
 
 
 # Step kinds.  A step ``(kind, out, a, b, kernel plan)`` sets slot ``out``
-# to a * b, to a marginalized, to a / b, or to a itself (copy).  A product
-# whose slot a is empty is the free load: b embedded over the plan's domain.
+# to a * b, to a marginalized, to a / b, or to a copy of a.  A copy with a
+# kernel plan is the free load, a fresh table of a embedded over the plan's
+# domain; one without shares a's table.
 # The two in-place kinds write a * b or a / b into a's own table (out == a).
 _MULTIPLY, _MARGINALIZE, _DIVIDE, _COPY, _MULTIPLY_IN, _DIVIDE_IN = range(6)
 
@@ -161,8 +166,8 @@ class _Plan(NamedTuple):
     """The steps of one run over numbered slots, and where its results end.
 
     Slots ``0..k-1`` hold the k input potentials; every other slot starts
-    empty, and some step writes it before any step but its free load reads
-    it, so no slot goes without a value.  ``nodes``: node -> slot of its
+    empty, and some step writes it before any step reads it, so no slot
+    goes without a value.  ``nodes``: node -> slot of its
     table or marginal.  ``messages``: message or Hugin register key ->
     slot, None for a vacuous SS message.
     ``marginals``: target -> the slot of its marginal, which :func:`_run`
@@ -186,11 +191,9 @@ def _execute(steps, vals: list, counter: OpCounter):
         if kind == _MARGINALIZE:
             vals[out] = marginalize(vals[a], plan[0], counter, plan)
         elif kind == _COPY:
-            vals[out] = vals[a]
+            vals[out] = vals[a] if plan is None else embed(vals[a], plan)
         elif kind == _DIVIDE or kind == _DIVIDE_IN:
             vals[out] = divide(vals[a], vals[b], counter, plan, kind == _DIVIDE_IN)
-        elif vals[a] is None:
-            vals[out] = embed(vals[b], plan[0], None, plan)
         else:
             vals[out] = multiply(vals[a], vals[b], counter, plan, kind == _MULTIPLY_IN)
 
@@ -230,14 +233,16 @@ def _run(arch: str, tree: JoinTree, potentials, plan: _Plan, on_step=None) -> En
     return EngineResult(arch, tree.kind, marginals, nodes, counter, messages)
 
 
-def _build_table_plans(tree: JoinTree, potentials, targets):
+def _build_table_plans(tree: JoinTree, domains, targets):
     """The LS and the Hugin plan of one tree, emitted in one pass over ``tree.sends``.
 
-    Every table spans its node's sorted domain and every message its
-    separator.  Loads and absorbs are all products; one into a node with no
-    table yet is the free load.  Which node has a table at each send, and
-    which Hugin register is written, follows from the assignments alone, so
-    a silent sender emits no step.  Every product into a node's table, and
+    ``domains`` are the input potentials' domains.  Every table spans its
+    node's sorted domain and every message its separator.  A load or absorb
+    into a node with no table yet is the free load, a copy step that embeds
+    its operand over the node's domain; every later one is a product.
+    Which node has a table at each step (``has_table``), and which Hugin
+    register is written, follows from the assignments alone, so a silent
+    sender emits no step.  Every product into a node's table, and
     every LS quotient of one, is in place (the ownership rule in the module
     docstring).  After the inputs come one table slot per node, the message
     slot unless the tree is one node, which sends nothing, and one marginal
@@ -247,7 +252,7 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
     exactly when the receiving child had a table to send inward, that is,
     when it has one now.
     """
-    nodes, cards, k = tree.nodes, tree.cards, len(potentials)
+    nodes, cards, k = tree.nodes, tree.cards, len(domains)
     table = {n: k + i for i, n in enumerate(sorted(nodes))}
     msg = k + len(nodes)
     first = msg + (len(nodes) > 1)
@@ -258,8 +263,9 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
     init, has_table = [], set()
     for n in sorted(nodes):
         for i in tree.assignments.get(n, ()):
+            load = multiply_plan(nodes[n], domains[i], cards)
+            init.append((_MULTIPLY_IN, table[n], table[n], i, load) if n in has_table else (_COPY, table[n], i, None, load))
             has_table.add(n)
-            init.append((_MULTIPLY_IN, table[n], table[n], i, multiply_plan(nodes[n], potentials[i].domain, cards)))
     # (a, b) -> the plan of b's table with a message over the separator of a and b
     over = {(a, b): multiply_plan(nodes[b], sep, cards) for (a, b), sep in tree.separators.items()}
     ls, hugin, marks = list(init), init, []
@@ -271,7 +277,7 @@ def _build_table_plans(tree: JoinTree, potentials, targets):
         e = _edge_key(a, b)
         inward = parent[a] == b
         take = (_MARGINALIZE, msg, table[a], None, marginalize_plan(nodes[a], sep))
-        absorb = (_MULTIPLY_IN, table[b], table[b], msg, over[a, b])
+        absorb = (_MULTIPLY_IN, table[b], table[b], msg, over[a, b]) if b in has_table else (_COPY, table[b], msg, None, over[a, b])
         ls += (take, absorb)
         if inward:
             ls.append((_DIVIDE_IN, table[a], table[a], msg, over[b, a]))
@@ -337,8 +343,8 @@ def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineR
     return _run("hugin", tree, potentials, plans[1], on_step)
 
 
-def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
-    """The steps of :func:`ss_run` for ``targets``.
+def _build_ss_plan(tree: JoinTree, domains, targets) -> _Plan:
+    """The steps of :func:`ss_run` for ``targets`` and the input potentials' ``domains``.
 
     ``held`` maps each own product (keyed by node) and each demanded
     message (keyed by its directed edge) to its ``(slot, domain)``, or to
@@ -377,7 +383,7 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
         if n != root:
             below[parent[n]] += below[n]
 
-    steps, held, fresh = [], {}, len(potentials)
+    steps, held, fresh = [], {}, len(domains)
 
     def product(parts, keep=None):
         """Fold ``parts``, ``(slot, domain)`` pairs, in order, then sum out what ``keep`` lacks.
@@ -405,7 +411,7 @@ def _build_ss_plan(tree: JoinTree, potentials, targets) -> _Plan:
         for n in sorted(tree.nodes):
             idxs = tree.assignments.get(n)
             if idxs:
-                held[n] = product([(i, potentials[i].domain) for i in idxs])
+                held[n] = product([(i, domains[i]) for i in idxs])
 
     def inputs(n, skip):
         """Non-vacuous messages into n from neighbors other than skip, then n's own product."""

@@ -244,11 +244,27 @@ def figure9_evidence() -> dict:
 
 
 def evidence_potentials(net: BayesNet, evidence: dict) -> list:
+    """One likelihood potential per evidence item, in variable-id order.
+
+    A likelihood is scale-free, so a vector whose largest entry exceeds 1 is
+    scaled by the exact power of two ``2**-e``, with ``e =
+    np.frexp(largest)[1]``: its largest entry then lies in [0.5, 1), and
+    finite likelihoods no longer overflow a product to inf and the
+    marginals to NaN.  A power-of-two scale is exact on normal floats and
+    commutes with every product, sum and quotient, so the marginals equal,
+    bit for bit, a run on evidence pre-scaled the same way.  A vector whose largest entry is
+    at most 1 passes unchanged.  :func:`make_potential` refuses NaN,
+    infinite and negative entries before any scaling.
+    """
     pots = []
     for vid in sorted(evidence):
         if vid not in range(net.n):
             raise NetworkError("evidence on unknown variable %r" % vid)
-        pots.append(make_potential([net.var(vid)], evidence[vid]))
+        pot = make_potential([net.var(vid)], evidence[vid])
+        largest = pot.values.max()
+        if largest > 1:
+            pot = make_potential([net.var(vid)], np.ldexp(pot.values, -np.frexp(largest)[1]))
+        pots.append(pot)
     return pots
 
 

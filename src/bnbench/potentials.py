@@ -9,14 +9,15 @@ units: one multiplication per output cell for combination, one addition per
 collapsed cell for marginalization, one division per numerator cell for
 division.  Normalization is deliberately uncounted.
 
-Every kernel takes an optional plan made from domains and cardinalities
-alone.  ``marginalize_plan`` gives ``marginalize`` the kept domain and the
-summed axes.  ``multiply_plan`` is the one broadcast plan, shared by
+Every kernel takes a plan made from domains and cardinalities alone.
+``marginalize_plan`` gives ``marginalize`` the kept domain and the summed
+axes.  ``multiply_plan`` is the one broadcast plan, shared by
 ``multiply``, ``divide`` and ``embed``: the result domain and shape, a's
-reshape, b's view over the result and the product's memory order.  A
-kernel given no plan computes it with the same function, so there is one
-arithmetic path; the engines build each plan once per tree and pass it on
-every run.
+reshape, b's view over the result and the product's memory order.
+``multiply``, ``divide`` and ``marginalize`` given no plan compute it with
+the same function, so there is one arithmetic path; ``embed`` takes only
+its plan.  The engines build each plan once per tree and pass it on every
+run.
 
 Tables of at least ``BIG_CELLS`` (2**11) cells take other paths.
 ``marginalize`` sums out one run of adjacent axes at a time, outermost
@@ -229,18 +230,14 @@ def multiply(a: Potential, b: Potential, counter: OpCounter, plan=None, inplace=
     return Potential(dom, out)
 
 
-def embed(pot: Potential, domain: Sequence[int], cards: dict, plan=None) -> Potential:
-    """Broadcast ``pot`` onto a superset ``domain`` without counting anything.
+def embed(pot: Potential, plan) -> Potential:
+    """A fresh table of ``pot`` broadcast onto a superset domain, without counting anything.
 
-    Numerically a multiplication by ones; the engines use it to load the
-    first factor into a node that has no table yet, which costs no
-    arithmetic.  ``plan`` is ``multiply_plan(domain, pot.domain, cards)``,
-    computed here when not given.
+    ``plan`` is ``multiply_plan(domain, pot.domain, cards)``, and the result
+    spans its ``domain``.  Numerically a multiplication by ones; the
+    engines use it for the free load, the first factor into a node that has
+    no table yet, which costs no arithmetic.
     """
-    if plan is None:
-        if not set(pot.domain) <= set(domain):
-            raise PotentialError("cannot embed %r into %r" % (pot.domain, tuple(domain)))
-        plan = multiply_plan(tuple(domain), pot.domain, cards)
     dom, shape, perm, view, _ = plan
     out = np.empty(shape)
     np.copyto(out, _view(pot.values, perm, view))

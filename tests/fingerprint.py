@@ -18,9 +18,10 @@ its digest (see :class:`Fingerprint`).
 The second hash covers the ``repr`` of the LS/Hugin plan pair
 (``engines._build_table_plans``) and of the SS plan
 (``engines._build_ss_plan``) on both trees of each case and each target
-set, built directly from the targets ``engines._targets`` gives, not
-fetched from the tree's plan cache: every step's kind, slots and kernel
-plan, and where each node table, message and marginal ends.
+set, built directly from the potentials' domains and the targets
+``engines._targets`` gives, not fetched from the tree's plan cache: every
+step's kind, slots and kernel plan, and where each node table, message
+and marginal ends.
 
 Cases: the chest clinic, 40 trials of each acceptance-criterion-6 preset,
 trials 0-9 of ``wide`` and 0-2 of ``long``, all at seed 2013, each with
@@ -116,10 +117,13 @@ class Fingerprint:
 
 
 def plan_reprs(tree, potentials, targets):
-    """The ``repr`` of the LS/Hugin plan pair and of the SS plan of ``tree`` for ``targets``."""
-    targets = engines._targets(tree, targets)
-    pair = engines._build_table_plans(tree, potentials, targets)
-    return repr(pair), repr(engines._build_ss_plan(tree, potentials, targets))
+    """The ``repr`` of the LS/Hugin plan pair and of the SS plan of ``tree`` for ``targets``.
+
+    The builders take the potentials' domains, never their values.
+    """
+    targets, domains = engines._targets(tree, targets), tuple(p.domain for p in potentials)
+    pair = engines._build_table_plans(tree, domains, targets)
+    return repr(pair), repr(engines._build_ss_plan(tree, domains, targets))
 
 
 def main():

@@ -52,7 +52,6 @@ from bnbench.potentials import (
     Potential,
     PotentialError,
     Variable,
-    embed,
     identity_over,
     marginalize,
     multiply,
@@ -461,7 +460,7 @@ def reference_ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     node marginal is already the answer.
     """
     counter = OpCounter()
-    _check_assignments(tree, potentials)
+    _check_assignments(tree, [p.domain for p in potentials])
     targets = _targets(tree, targets)
     own_cache = {}
     messages = {}
@@ -556,9 +555,13 @@ def reference_ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
 
 
 def _reference_absorb(table: Potential, pot: Potential, cards: dict, counter) -> Potential:
-    """Fold ``pot`` into a node table: free copy when still marked, else product."""
+    """Fold ``pot`` into a node table: free copy when still marked, else product.
+
+    The copy is :func:`reference_embed`, so no loading kernel is shared
+    with the engines.
+    """
     if isinstance(table, MarkedIdentity):
-        return embed(pot, table.domain, cards)
+        return reference_embed(pot, table.domain, cards)
     return multiply(table, pot, counter)
 
 
@@ -580,7 +583,7 @@ def reference_ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     still marked when it must send stays silent.
     """
     counter = OpCounter()
-    _check_assignments(tree, potentials)
+    _check_assignments(tree, [p.domain for p in potentials])
     targets = _targets(tree, targets)
     tables = _reference_init_tables(tree, potentials, counter)
     root, preorder, postorder, parent, children = tree.rooting
@@ -619,7 +622,7 @@ def reference_hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) 
     divided by its register unless the register is empty.
     """
     counter = OpCounter()
-    _check_assignments(tree, potentials)
+    _check_assignments(tree, [p.domain for p in potentials])
     targets = _targets(tree, targets)
     tables = _reference_init_tables(tree, potentials, counter)
     root, preorder, postorder, parent, children = tree.rooting
@@ -671,31 +674,30 @@ def reference_hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) 
     return EngineResult("hugin", tree.kind, marginals, tables, counter, store)
 
 
-def step_counts(tree: JoinTree, plan, potentials) -> tuple:
+def step_counts(tree: JoinTree, plan, domains) -> tuple:
     """``(adds, mults, divs)`` of running an engine plan's steps, its extractions included.
 
+    Like the plan builders, reads only the input potentials' ``domains``.
     Walks the steps tracking the domain each slot holds; no table is built.
     A product counts its output cells as multiplications, a marginalization
     that sums out some axes its input minus output cells as additions, and a
-    quotient its numerator cells as divisions.  A product into an empty slot
-    (the free load) and a copy are free; an in-place product or quotient
-    counts as the one it is, and must write its first operand's slot over
-    that slot's own domain.  Any other step kind fails.
+    quotient its numerator cells as divisions.  A copy is free: with a
+    kernel plan (the free load) it spans the plan's domain, which must hold
+    its operand's, and without one its operand's own.  An in-place product
+    or quotient counts as the one it is, and must write its first operand's
+    slot over that slot's own domain.  Any other step kind fails.
     """
 
     def cells(dom):
         return math.prod(tree.cards[v] for v in dom)
 
-    doms = [p.domain for p in potentials] + [None] * (plan.size - len(potentials))
+    doms = list(domains) + [None] * (plan.size - len(domains))
     adds = mults = divs = 0
     for kind, out, a, b, kernel_plan in plan.steps:
         if kind in (_MULTIPLY_IN, _DIVIDE_IN):
-            assert out == a and (doms[a] is None or set(doms[b]) <= set(doms[a]))
+            assert out == a and set(doms[b]) <= set(doms[a])
             kind = _MULTIPLY if kind == _MULTIPLY_IN else _DIVIDE
-        if kind == _MULTIPLY and doms[a] is None:
-            dom = kernel_plan[0]
-            assert set(doms[b]) <= set(dom)
-        elif kind == _MULTIPLY:
+        if kind == _MULTIPLY:
             dom = doms[a] + tuple(v for v in doms[b] if v not in doms[a])
             mults += cells(dom)
         elif kind == _MARGINALIZE:
@@ -708,7 +710,8 @@ def step_counts(tree: JoinTree, plan, potentials) -> tuple:
             dom = doms[a]
             divs += cells(dom)
         elif kind == _COPY:
-            dom = doms[a]
+            dom = doms[a] if kernel_plan is None else kernel_plan[0]
+            assert set(doms[a]) <= set(dom)
         else:
             raise AssertionError("unknown step kind %r" % (kind,))
         doms[out] = dom

@@ -243,6 +243,19 @@ class TestVerify:
         assert main(["verify", "--network", chest_file, "--oracle-cap=" + cap]) == 2
         assert "--oracle-cap" in capsys.readouterr().err
 
+    def test_large_likelihoods_give_finite_marginals(self, chest_file, tmp_path, capsys):
+        big = {"A": [1e300, 1e300], "D": [1e300, 1e200], "X": [1e300, 1e300]}
+        scaled = {k: np.ldexp(v, -np.frexp(max(v))[1]).tolist() for k, v in big.items()}
+        outputs = []
+        for evidence in (big, scaled):
+            path = _edited_chest(chest_file, tmp_path, lambda doc: doc["evidence"].update(evidence))
+            assert main(["infer", "--network", path]) == 0
+            outputs.append(capsys.readouterr().out)
+            assert main(["verify", "--network", path]) == 0
+            assert "verification passed" in capsys.readouterr().out
+        assert "nan" not in outputs[0]
+        assert outputs[0] == outputs[1]
+
 
 class TestInputErrors:
     @pytest.mark.parametrize(

@@ -8,7 +8,14 @@ from bnbench.compile import JoinTree, assign_potentials, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
 from bnbench.generate import GenParams, random_case
-from bnbench.network import BayesNet, input_potentials, joint_oracle, oracle_marginals
+from bnbench.network import (
+    BayesNet,
+    chest_clinic,
+    chest_clinic_evidence,
+    input_potentials,
+    joint_oracle,
+    oracle_marginals,
+)
 from bnbench.potentials import (
     BIG_CELLS,
     Potential,
@@ -305,6 +312,34 @@ class TestAbsentTablesMatchMarkedIdentities:
             _assert_ls_hugin_match_references(tree, comp.potentials, None)
 
 
+def _compiled(label):
+    """The compiled ``"chest"`` network, or trial t of ``LONG`` or ``WIDE`` for ``"long-t"`` or ``"wide-t"``."""
+    if label == "chest":
+        return compile_structures(chest_clinic(), chest_clinic_evidence())
+    params, t = label.split("-")
+    return compile_structures(*random_case(LONG if params == "long" else WIDE, int(t)))
+
+
+class TestPlansFromDomains:
+    """A plan is a function of the tree, the potentials' domains and the targets alone.
+
+    Built from bare domain tuples, with no ``Potential`` in reach, the
+    LS/Hugin pair and the SS plan equal in ``repr`` the plans an engine run
+    caches.
+    """
+
+    @pytest.mark.parametrize("label", ["chest", "long-0"] + ["wide-%d" % t for t in range(5)])
+    def test_bare_domains_build_the_cached_plans(self, label):
+        comp = _compiled(label)
+        domains = tuple(p.domain for p in comp.potentials)
+        for tree in (comp.junction, comp.binary):
+            ls_run(tree, comp.potentials)
+            ss_run(tree, comp.potentials)
+            targets = engines._targets(tree, None)
+            assert repr(engines._build_table_plans(tree, domains, targets)) == repr(tree.plans["ls/hugin"][2]), label
+            assert repr(engines._build_ss_plan(tree, domains, targets)) == repr(tree.plans["ss"][2]), label
+
+
 def _assert_all_match_references(tree, potentials, targets=None):
     _assert_ls_hugin_match_references(tree, potentials, targets)
     _assert_ss_matches_reference(tree, potentials, targets)
@@ -477,7 +512,7 @@ def _assert_counts_follow_from_steps(tree, potentials, targets=None):
     ls, hugin, ss = (run(tree, potentials, targets) for run in (ls_run, hugin_run, ss_run))
     ls_plan, hugin_plan = tree.plans["ls/hugin"][2]
     for res, plan in ((ls, ls_plan), (hugin, hugin_plan), (ss, tree.plans["ss"][2])):
-        assert step_counts(tree, plan, potentials) == res.counter.as_tuple(), res.arch
+        assert step_counts(tree, plan, [p.domain for p in potentials]) == res.counter.as_tuple(), res.arch
 
 
 class TestCountsFollowFromSteps:
@@ -551,10 +586,11 @@ class TestReplaysCallKernelsByName:
 
 
 class TestFreeLoad:
-    """A product into an empty table is the free load: ``engines.embed``, with nothing charged.
+    """The free load is a copy step with a kernel plan: ``engines.embed``, with nothing charged.
 
-    An LS run loads each node's table exactly once, and no SS step is a
-    product into an empty slot.
+    Each LS and Hugin plan loads each node's table exactly once, so it holds
+    one such step per node, and the run embeds once per node; no SS step is
+    a copy.
     """
 
     def _assert_one_free_load_per_node(self, comp, monkeypatch, sizes):
@@ -564,9 +600,9 @@ class TestFreeLoad:
             counters.append(OpCounter())
             return counters[-1]
 
-        def recording(pot, domain, cards, plan=None):
+        def recording(pot, plan):
             before = counters[-1].as_tuple()
-            out = embed(pot, domain, cards, plan)
+            out = embed(pot, plan)
             assert counters[-1].as_tuple() == before
             loads.append(out.domain)
             return out
@@ -578,23 +614,22 @@ class TestFreeLoad:
             ls_run(tree, comp.potentials)
             assert len(loads) == len(tree.nodes) == size
             assert sorted(loads) == sorted(tree.nodes.values())
+            for plan in tree.plans["ls/hugin"][2]:
+                planned = [out for kind, out, _, _, kernel in plan.steps if kind == engines._COPY and kernel is not None]
+                assert sorted(planned) == sorted(plan.nodes.values())
 
-    def _assert_ss_never_loads(self, comp):
+    def _assert_ss_never_copies(self, comp):
         for tree in (comp.junction, comp.binary):
             ss_run(tree, comp.potentials)
-            plan = tree.plans["ss"][2]
-            filled = set(range(len(comp.potentials)))
-            for kind, out, a, _, _ in plan.steps:
-                assert kind != engines._MULTIPLY or a in filled
-                filled.add(out)
+            assert all(kind != engines._COPY for kind, *_ in tree.plans["ss"][2].steps)
 
     def test_chest(self, chest_comp, monkeypatch):
-        self._assert_ss_never_loads(chest_comp)
+        self._assert_ss_never_copies(chest_comp)
         self._assert_one_free_load_per_node(chest_comp, monkeypatch, (6, 20))
 
     def test_long_trial(self, monkeypatch):
         comp = compile_structures(*random_case(LONG, 0))
-        self._assert_ss_never_loads(comp)
+        self._assert_ss_never_copies(comp)
         self._assert_one_free_load_per_node(comp, monkeypatch, (158, 679))
 
 
@@ -731,12 +766,12 @@ _SIX_STATES = (
 def _assert_slots_hold_values(plan, k: int):
     """Every slot after the k inputs is some step's output, and no step reads a slot before that.
 
-    The one step that reads an empty slot is the free load: a product into
-    its own first operand's slot while that slot is still empty.
+    No step is exempt: each step's a, and its b when set, is an input or an
+    earlier step's output.
     """
     filled = set(range(k))
-    for kind, out, a, b, _ in plan.steps:
-        assert a in filled or (kind in (engines._MULTIPLY, engines._MULTIPLY_IN) and a == out)
+    for _, out, a, b, _ in plan.steps:
+        assert a in filled
         assert b is None or b in filled
         filled.add(out)
     assert filled == set(range(plan.size))
@@ -747,8 +782,9 @@ def _assert_slots_hold_values(plan, k: int):
 def _assert_plans_hold_values(comp, targets=None):
     for tree in (comp.junction, comp.binary):
         chosen = engines._targets(tree, targets)
-        ls, hugin = engines._build_table_plans(tree, comp.potentials, chosen)
-        ss = engines._build_ss_plan(tree, comp.potentials, chosen)
+        domains = tuple(p.domain for p in comp.potentials)
+        ls, hugin = engines._build_table_plans(tree, domains, chosen)
+        ss = engines._build_ss_plan(tree, domains, chosen)
         for plan in (ls, hugin, ss):
             _assert_slots_hold_values(plan, len(comp.potentials))
         # no SS step is a copy: every marginalization sums some axis

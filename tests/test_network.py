@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bnbench.compile import compile_structures
 from bnbench.counting import OpCounter
+from bnbench.engines import hugin_run, ls_run, ss_run
+from bnbench.generate import GenParams, random_case
 from bnbench.network import (
     BayesNet,
     NetworkError,
@@ -135,6 +139,57 @@ class TestEvidence:
     def test_potentials_sorted_by_variable(self, chest, chest_evidence):
         pots = evidence_potentials(chest, chest_evidence)
         assert [p.domain for p in pots] == [(0,), (7,)]
+
+
+def prescaled(vec):
+    """``vec`` scaled by ``2**-e``, e the binary exponent of its largest entry, when that entry exceeds 1."""
+    vec = np.asarray(vec, dtype=np.float64)
+    return np.ldexp(vec, -np.frexp(vec.max())[1]) if vec.max() > 1 else vec
+
+
+def big_likelihood_case(label):
+    """``(net, evidence)`` whose unscaled products overflow float64 to inf.
+
+    ``"chest"``: A, D and X observed with likelihoods up to 1e300.
+    ``"long-0"``: ``long`` trial 0 with (1e6, 1) on every third variable.
+    """
+    if label == "chest":
+        return chest_clinic(), {0: [1e300, 1e300], 7: [1e300, 1e200], 6: [1e300, 1e300]}
+    net, evidence = random_case(GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=2013), 0)
+    return net, {**evidence, **{v: [1e6, 1.0] for v in range(0, net.n, 3)}}
+
+
+class TestLargeLikelihoods:
+    """A likelihood whose largest entry exceeds 1 is scaled by a power of two, so no product overflows."""
+
+    def test_scaling_is_exact_and_only_above_one(self, chest):
+        vectors = {0: [3.0, 0.25], 6: [0.5, 1.0], 7: [1e300, 1e200]}
+        pots = evidence_potentials(chest, vectors)
+        assert pots[0].values.tolist() == [0.75, 0.0625]
+        assert pots[1].values.tolist() == [0.5, 1.0]
+        assert pots[2].values.tobytes() == prescaled(vectors[7]).tobytes()
+        assert 0.5 <= pots[2].values.max() < 1.0
+
+    @pytest.mark.parametrize("label", ["chest", "long-0"])
+    def test_marginals_are_finite_and_equal_the_prescaled_run(self, label):
+        net, evidence = big_likelihood_case(label)
+
+        def marginals(ev):
+            comp = compile_structures(net, ev)
+            runs = ((ls_run, comp.junction), (hugin_run, comp.junction), (ss_run, comp.binary))
+            return [run(tree, comp.potentials).singleton_marginals for run, tree in runs]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = marginals(evidence)
+            want = marginals({v: prescaled(vec) for v, vec in evidence.items()})
+        assert len(got[0]) == net.n
+        for g, w in zip(got, want):
+            assert list(g) == list(w)
+            for x in g:
+                assert np.isfinite(g[x].values).all(), (label, x)
+                assert g[x].values.tobytes() == w[x].values.tobytes()
+                np.testing.assert_allclose(g[x].values, got[0][x].values, rtol=0, atol=1e-12)
 
 
 class TestInputPotentials:

@@ -215,7 +215,7 @@ class TestIdentity:
     def test_embed_is_uncounted_copy(self):
         c = OpCounter()
         pot = make_potential([A], [0.3, 0.7])
-        out = embed(pot, (0, 1), {0: 2, 1: 2})
+        out = embed(pot, multiply_plan((0, 1), pot.domain, {0: 2, 1: 2}))
         assert out.domain == (0, 1)
         np.testing.assert_allclose(out.values.reshape(-1), [0.3, 0.3, 0.7, 0.7])
         assert c.as_tuple() == (0, 0, 0)
@@ -357,7 +357,7 @@ class TestTrimmedKernelsMatchReferences:
         want = reference_expand(pot, outer)
         assert (got.shape, got.strides) == (want.shape, want.strides)
         assert np.array_equal(got, want)
-        got, want = embed(pot, outer, cards), reference_embed(pot, outer, cards)
+        got, want = embed(pot, multiply_plan(outer, inner, cards)), reference_embed(pot, outer, cards)
         assert got.domain == want.domain
         assert np.array_equal(got.values, want.values)
         assert got.values.flags.c_contiguous and want.values.flags.c_contiguous
@@ -571,7 +571,7 @@ class TestPlannedKernelsMatchUnplanned:
             c_got, c_want = OpCounter(), OpCounter()
             _same(marginalize(a, inner, c_got, marg), marginalize(a, inner, c_want), c_got, c_want)
             b = Potential(inner, _layout(_table(rng, inner, cards), fortran))
-            _same(embed(b, outer, cards, load), embed(b, outer, cards))
+            _same(embed(b, load), reference_embed(b, outer, cards))
 
     @given(nested_domains(), st.sampled_from([0.0, 0.4]), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -588,14 +588,11 @@ class TestPlannedKernelsMatchUnplanned:
             _same(divide(num, den, c_got, plan), divide(num, den, c_want), c_got, c_want)
 
     def test_plans_check_their_domains(self):
-        cards = {0: 2, 1: 3}
         with pytest.raises(PotentialError):
             marginalize_plan((0,), (1,))
         num, den = from_values([0], [2], [0.5, 0.5]), from_values([0, 1], [2, 3], np.ones(6))
         with pytest.raises(PotentialError, match="denominator domain"):
             divide(num, den, OpCounter())
-        with pytest.raises(PotentialError, match="cannot embed"):
-            embed(den, (1,), cards)
 
 
 class TestVariable:
