@@ -133,7 +133,7 @@ def cmd_compile(args):
     for tree in (comp.junction, comp.binary):
         # compile_structures has verified both trees and raises on a broken one
         print("%s tree verification: ok" % tree.kind)
-        dumps[tree.kind] = tree_dump(tree, names)
+        dumps[tree.kind] = tree_dump(tree, [p.domain for p in comp.potentials], names)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for kind, text in dumps.items():

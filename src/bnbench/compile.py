@@ -6,8 +6,9 @@ junction tree by contracting the binary tree onto its maximal nodes.  Both
 structures therefore share one elimination order and one clique set, and
 every step is deterministic.  Seeding and condensation, which merges only
 equal domains, keep a singleton node for every variable in the binary
-tree, so no stage checks for one; what the engines need of an assigned
-tree they check themselves, once per plan.
+tree, so no stage checks for one.  A tree holds no potentials: where each
+one goes follows from its domain alone (:func:`assign_potentials`), and the
+engines place them, and check what else they need, once per plan.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ class Rooting(NamedTuple):
 
 @dataclass
 class JoinTree:
-    """Tree of variable subsets with per-node potential assignments.
+    """Tree of variable subsets.
 
     nodes: node id -> sorted tuple of variable ids.
     adj:   node id -> sorted list of neighbor node ids.
     cards: variable id -> cardinality.
-    assignments: node id -> list of indices into the compiled potential list.
     kind: "junction" or "binary".
 
     ``nodes``, ``adj`` and ``cards`` are never changed once a tree is built:
@@ -67,18 +67,15 @@ class JoinTree:
     ``plans`` holds the engines' propagation plans, each a flat step list
     over numbered slots (see :mod:`bnbench.engines`), built on a tree's
     first run: the LS and the Hugin plan, built together, and the SS plan,
-    each keyed on the targets and the domains of the potentials and kept
-    with a copy of the ``assignments`` it was built from.  The assignments
-    may be set anew (:func:`assign_potentials` does) or edited in place:
-    plans follow them by value, so a run whose key or assignments differ
-    from a kept plan's builds a new plan in place of the old one.
+    each keyed on the targets and the domains of the potentials.  A plan
+    follows from the structure and that key alone, so a run whose key
+    differs from a kept plan's builds a new plan in place of the old one.
     """
 
     kind: str
     nodes: dict
     adj: dict
     cards: dict
-    assignments: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def edges(self):
@@ -415,23 +412,23 @@ def junction_tree(bjt: JoinTree) -> JoinTree:
     return JoinTree("junction", out_nodes, out_adj, dict(bjt.cards))
 
 
-def assign_potentials(tree: JoinTree, potentials) -> JoinTree:
-    """Attach each potential to the smallest containing node (ties: lowest id).
+def assign_potentials(tree: JoinTree, domains) -> dict:
+    """Node -> ascending indices of the ``domains`` placed on it; sets nothing.
 
-    Replaces ``tree.assignments``; where they differ from a kept plan's,
-    the engines build a new plan on the tree's next run.
+    Each domain goes to the smallest node containing it (ties: lowest id);
+    a node that gets none has no entry.  The placement is the structure's
+    one rule, so the engines call this where they build each plan.
     """
     holders, spaces = tree.holders, tree.spaces
-    assignments = {}
-    for i, pot in enumerate(potentials):
-        dom = set(pot.domain)
-        candidates = holders.get(pot.domain[0], ()) if pot.domain else tree.nodes
+    placement = {}
+    for i, domain in enumerate(domains):
+        dom = set(domain)
+        candidates = holders.get(domain[0], ()) if domain else tree.nodes
         hosts = [n for n in candidates if dom <= set(tree.nodes[n])]
         if not hosts:
-            raise CompileError("potential domain %r fits no tree node" % (pot.domain,))
-        assignments.setdefault(min(hosts, key=lambda n: (spaces[n], n)), []).append(i)
-    tree.assignments = assignments
-    return tree
+            raise CompileError("potential domain %r fits no tree node" % (domain,))
+        placement.setdefault(min(hosts, key=lambda n: (spaces[n], n)), []).append(i)
+    return placement
 
 
 def verify_join_tree(tree: JoinTree) -> list:
@@ -474,23 +471,20 @@ class CompileResult:
 
 
 def compile_structures(net: BayesNet, evidence: dict) -> CompileResult:
-    """Build both assigned structures from one elimination order.
+    """Build both structures, and the potentials they run on, from one elimination order.
 
     Each kept tree is checked once, by :func:`verify_join_tree`: the
     junction tree and the condensed binary tree.  The fusion forest from
     :func:`binary_join_tree` needs no check of its own (see there), and it
     is discarded without ever building a structural index.  The binary
-    tree's singleton nodes (module docstring) and the assignments, which
-    :func:`assign_potentials` makes to fit and the engines check, get no
-    check here either.
+    tree's singleton nodes (module docstring) get no check here either, and
+    no potential is placed: the engines place them when they build a plan.
     """
     pots, hypergraph = input_potentials(net, evidence)
     cards = net.cards
     order = elimination_order(moral_graph(net), cards)
     bjt = condense(binary_join_tree(hypergraph, cards, order))
     jt = junction_tree(bjt)
-    assign_potentials(jt, pots)
-    assign_potentials(bjt, pots)
     for tree in (jt, bjt):
         problems = verify_join_tree(tree)
         if problems:

@@ -1,7 +1,7 @@
 """The three propagation architectures behind one interface.
 
-All engines run on a compiled, potential-assigned JoinTree and charge a
-single OpCounter.  Shared conventions that the counting targets pin down:
+All engines run on a compiled JoinTree and charge a single OpCounter.
+Shared conventions that the counting targets pin down:
 
 * An absent table means "nothing yet".  LS and Hugin node tables and Hugin
   separator registers start empty.  The first factor into a node's table
@@ -13,14 +13,16 @@ single OpCounter.  Shared conventions that the counting targets pin down:
   receiver skips the product.  A vacuous SS message is stored as None.
 * Root selection, child ordering, tie-breaks, and fold orders are all fixed,
   so counters are bit-reproducible.
-* One precondition, checked when a plan is built (:func:`_check_assignments`):
-  at least one potential, each placed on exactly one node that holds its
-  domain, every target mentioned by some potential, on a connected tree.
-  Every table, register and product an engine reads after the message loop
-  then exists and spans what it must.  Nothing downstream checks again.
+* One precondition, checked when a plan is built (:func:`_check_inputs`):
+  at least one potential, every target mentioned by some potential, on a
+  connected tree.  Each builder then places every potential on the
+  smallest node holding its domain (``compile.assign_potentials``, which
+  raises ``CompileError`` for a domain that fits no node).  Every table,
+  register and product an engine reads after the message loop then exists
+  and spans what it must.  Nothing downstream checks again.
 
-Every domain an engine meets follows from the tree, its assignments and
-the domains of the potentials, never from their values.  So each run
+Every domain an engine meets follows from the tree and the domains of the
+potentials, never from their values.  So each run
 executes a plan (:class:`_Plan`) built from those alone: a flat list of
 steps over numbered slots, each an op kind (multiply, marginalize, divide
 or copy, and multiply or divide in place), its output and operand slots
@@ -35,12 +37,10 @@ executor, :func:`_execute`, runs them all and is the only caller of the
 counted kernels.  Every run checks its targets, fetches its plan, executes
 all the plan's steps and normalizes each marginal slot into the result.
 Plans are kept in ``JoinTree.plans``, keyed on the targets and the
-potentials' domains, with a copy of the assignments they were built from;
-a run whose key or assignments differ in value, whether set anew or edited
-in place, builds a new plan, and the precondition is checked only then.
-LS and Hugin come from one build; SS has its own.  A plan holds no
-numbers, so every counted operation is still performed and charged on
-every run.
+potentials' domains; a run whose key differs builds a new plan, and the
+precondition is checked only then.  LS and Hugin come from one build; SS
+has its own.  A plan holds no numbers, so every counted operation is
+still performed and charged on every run.
 
 Ownership: every table has one owner.  No kernel returns an operand's
 table (a marginalization that sums out nothing copies), and a copy step
@@ -61,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import bnbench.compile
 from bnbench.compile import JoinTree, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.network import BayesNet
@@ -91,28 +92,18 @@ class EngineResult:
     messages: dict
 
 
-def _check_assignments(tree: JoinTree, domains, targets=()):
-    """Refuse inputs no run can be right on: the one check of a runnable assigned tree.
+def _check_inputs(tree: JoinTree, domains, targets=()):
+    """Refuse inputs no run can be right on: the one check of a tree and its inputs.
 
     ``domains`` are the input potentials' domains, in input order; no value
     is read.  :func:`_plan` calls it before every build, so every engine
     run and the SS storage replay pass it.  Refused, with
-    :class:`EngineError`: no potentials; a potential not placed exactly
-    once (an index out of range included), or placed on an id that is no
-    node or on a node whose domain lacks a variable of the potential's; a
-    target that no potential mentions; a tree the rooting does not reach.
+    :class:`EngineError`: no potentials; a target that no potential
+    mentions; a tree the rooting does not reach.  Where each potential
+    goes is no input: the builders place it by rule.
     """
-    k = len(domains)
-    if not k:
+    if not domains:
         raise EngineError("no input potentials to propagate")
-    placed = sorted(i for idxs in tree.assignments.values() for i in idxs)
-    if placed != list(range(k)):
-        raise EngineError("tree assignments place %d potential indices; the %d input potentials need 0..%d once each" % (len(placed), k, k - 1))
-    for n, idxs in tree.assignments.items():
-        held = set(tree.nodes.get(n, ()))
-        for i in idxs:
-            if n not in tree.nodes or not held.issuperset(domains[i]):
-                raise EngineError("potential %d over %r is placed on %r, which is not a tree node holding that domain" % (i, domains[i], n))
     unmentioned = set(targets) - {v for dom in domains for v in dom}
     if unmentioned:
         raise EngineError("target variable %r appears in no input potential" % min(unmentioned))
@@ -135,23 +126,20 @@ def _targets(tree: JoinTree, targets):
 
 
 def _plan(tree: JoinTree, kind: str, potentials, targets, build):
-    """The tree's ``kind`` plan for ``targets``, the potentials' domains and the assignments.
+    """The tree's ``kind`` plan for ``targets`` and the potentials' domains.
 
-    The tree keeps each plan with a copy of the assignments it was built
-    from, and a kept plan serves only while the targets, the domains and
-    ``tree.assignments`` all equal what it was built from, so an edit in
-    place is seen like a new dict.  Otherwise the inputs are checked and
+    A kept plan, the entry ``(key, plan)``, serves while the targets and
+    the domains equal its key.  Otherwise the inputs are checked and
     ``build(tree, domains, targets)`` makes a new plan from the tuple of
     the potentials' domains, never their values; a kept plan's inputs
     passed that check when it was built.
     """
     key = (targets, tuple(p.domain for p in potentials))
     entry = tree.plans.get(kind)
-    if entry is None or entry[0] != key or entry[1] != tree.assignments:
-        _check_assignments(tree, key[1], targets)
-        assignments = {n: list(idxs) for n, idxs in tree.assignments.items()}
-        entry = tree.plans[kind] = (key, assignments, build(tree, key[1], targets))
-    return entry[2]
+    if entry is None or entry[0] != key:
+        _check_inputs(tree, key[1], targets)
+        entry = tree.plans[kind] = (key, build(tree, key[1], targets))
+    return entry[1]
 
 
 # Step kinds.  A step ``(kind, out, a, b, kernel plan)`` sets slot ``out``
@@ -236,22 +224,24 @@ def _run(arch: str, tree: JoinTree, potentials, plan: _Plan, on_step=None) -> En
 def _build_table_plans(tree: JoinTree, domains, targets):
     """The LS and the Hugin plan of one tree, emitted in one pass over ``tree.sends``.
 
-    ``domains`` are the input potentials' domains.  Every table spans its
-    node's sorted domain and every message its separator.  A load or absorb
-    into a node with no table yet is the free load, a copy step that embeds
-    its operand over the node's domain; every later one is a product.
-    Which node has a table at each step (``has_table``), and which Hugin
-    register is written, follows from the assignments alone, so a silent
-    sender emits no step.  Every product into a node's table, and
-    every LS quotient of one, is in place (the ownership rule in the module
-    docstring).  After the inputs come one table slot per node, the message
-    slot unless the tree is one node, which sends nothing, and one marginal
-    slot per target, where the LS plan ends; Hugin's plan goes on with one
-    register slot per edge and the quotient slot if some send divides.
+    ``domains`` are the input potentials' domains, placed first by
+    ``compile.assign_potentials``.  Every table spans its node's sorted
+    domain and every message its separator.  A load or absorb into a node
+    with no table yet is the free load, a copy step that embeds its operand
+    over the node's domain; every later one is a product.  Which node has a
+    table at each step (``has_table``), and which Hugin register is
+    written, follows from that placement alone, so a silent sender emits
+    no step.  Every product into a node's table, and every LS quotient of
+    one, is in place (the ownership rule in the module docstring).  After
+    the inputs come one table slot per node, the message slot unless the
+    tree is one node, which sends nothing, and one marginal slot per
+    target, where the LS plan ends; Hugin's plan goes on with one register
+    slot per edge and the quotient slot if some send divides.
     Inward sends come first, so an outward send finds its register written
     exactly when the receiving child had a table to send inward, that is,
     when it has one now.
     """
+    placement = bnbench.compile.assign_potentials(tree, domains)
     nodes, cards, k = tree.nodes, tree.cards, len(domains)
     table = {n: k + i for i, n in enumerate(sorted(nodes))}
     msg = k + len(nodes)
@@ -262,7 +252,7 @@ def _build_table_plans(tree: JoinTree, domains, targets):
     quo = hugin_size = size + len(register)
     init, has_table = [], set()
     for n in sorted(nodes):
-        for i in tree.assignments.get(n, ()):
+        for i in placement.get(n, ()):
             load = multiply_plan(nodes[n], domains[i], cards)
             init.append((_MULTIPLY_IN, table[n], table[n], i, load) if n in has_table else (_COPY, table[n], i, None, load))
             has_table.add(n)
@@ -365,6 +355,7 @@ def _build_ss_plan(tree: JoinTree, domains, targets) -> _Plan:
     every designated node is a singleton, so SS builds no separator index
     there at all.
     """
+    placement = bnbench.compile.assign_potentials(tree, domains)
     cards = tree.cards
     root, _, postorder, parent, _ = tree.rooting
     designated = tree.designated
@@ -408,10 +399,8 @@ def _build_ss_plan(tree: JoinTree, domains, targets) -> _Plan:
 
     # With any sink, every node is one or sends toward one, so needs its own potential.
     if below[root]:
-        for n in sorted(tree.nodes):
-            idxs = tree.assignments.get(n)
-            if idxs:
-                held[n] = product([(i, domains[i]) for i in idxs])
+        for n, idxs in sorted(placement.items()):
+            held[n] = product([(i, domains[i]) for i in idxs])
 
     def inputs(n, skip):
         """Non-vacuous messages into n from neighbors other than skip, then n's own product."""

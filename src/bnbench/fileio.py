@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from bnbench.compile import JoinTree
+from bnbench.compile import JoinTree, assign_potentials
 from bnbench.network import BayesNet, NetworkError
 from bnbench.potentials import Variable, make_potential
 
@@ -168,9 +168,14 @@ def load_network(path: str):
     return network_from_dict(doc)
 
 
-def tree_dump(tree: JoinTree, names: dict = None) -> str:
-    """Deterministic text rendering used by golden tests and `compile`."""
+def tree_dump(tree: JoinTree, domains, names: dict = None) -> str:
+    """Deterministic text rendering used by golden tests and `compile`.
+
+    Each node lists the indices of the potential ``domains`` placed on it,
+    by :func:`~bnbench.compile.assign_potentials`.
+    """
     names = names or {}
+    placement = assign_potentials(tree, domains)
 
     def label(dom):
         return "{%s}" % ",".join(str(names.get(v, v)) for v in dom)
@@ -181,8 +186,8 @@ def tree_dump(tree: JoinTree, names: dict = None) -> str:
     ]
     for n in sorted(tree.nodes):
         entry = "node %d: %s statespace=%d" % (n, label(tree.nodes[n]), tree.statespace(n))
-        if tree.assignments.get(n):
-            entry += " potentials=%s" % (sorted(tree.assignments[n]),)
+        if n in placement:
+            entry += " potentials=%s" % (placement[n],)
         lines.append(entry)
     for u, v in tree.edges():
         lines.append(

@@ -5,9 +5,9 @@ architecture-specific part: LS keeps one potential per clique; Hugin adds
 one register per separator; SS keeps no node potentials but fills up to two
 directed message registers per binary-join-tree edge, and only the
 registers an actual demand-driven run touches are counted.  That count
-replays ``ss_run``, so the engines' one check of an assigned tree (see
-:mod:`bnbench.engines`) refuses an unassigned or misassigned one here too;
-storage has no check of its own.
+replays ``ss_run``, so the engines' one check of a tree and its inputs, and
+their placement of each potential (see :mod:`bnbench.engines`), refuse
+here what they refuse there; storage has no check of its own.
 """
 
 from __future__ import annotations

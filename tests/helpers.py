@@ -22,6 +22,10 @@ The ``reference_*`` functions are:
   marked denominator, which the engines, whose tables and registers start
   absent, must match bit for bit.
 
+The reference runs place each potential with :func:`reference_placement`,
+a full scan over the nodes, so they share no placement code with
+``bnbench.compile.assign_potentials``.
+
 :func:`step_counts` reads an engine plan's counts off its steps alone,
 which every engine's ``OpCounter`` must equal.
 """
@@ -43,7 +47,7 @@ from bnbench.engines import (
     _MULTIPLY,
     _MULTIPLY_IN,
     EngineResult,
-    _check_assignments,
+    _check_inputs,
     _edge_key,
     _targets,
 )
@@ -261,6 +265,14 @@ def reference_host(tree: JoinTree, domain) -> int:
     return min(hosts, key=lambda n: (reference_space(tree, tree.nodes[n]), n))
 
 
+def reference_placement(tree: JoinTree, potentials) -> dict:
+    """Node -> ascending indices of the potentials whose :func:`reference_host` it is."""
+    placement = {}
+    for i, pot in enumerate(potentials):
+        placement.setdefault(reference_host(tree, pot.domain), []).append(i)
+    return placement
+
+
 def reference_verify_join_tree(tree: JoinTree) -> list:
     """Tree-ness, running intersection and binary degree, each by its own walk."""
     problems = []
@@ -460,14 +472,15 @@ def reference_ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     node marginal is already the answer.
     """
     counter = OpCounter()
-    _check_assignments(tree, [p.domain for p in potentials])
+    _check_inputs(tree, [p.domain for p in potentials])
     targets = _targets(tree, targets)
+    placement = reference_placement(tree, potentials)
     own_cache = {}
     messages = {}
 
     def own(n):
         if n not in own_cache:
-            idxs = tree.assignments.get(n, ())
+            idxs = placement.get(n, ())
             if not idxs:
                 own_cache[n] = None
             else:
@@ -566,11 +579,12 @@ def _reference_absorb(table: Potential, pot: Potential, cards: dict, counter) ->
 
 
 def _reference_init_tables(tree: JoinTree, potentials, counter) -> dict:
+    placement = reference_placement(tree, potentials)
     tables = {}
     for n in sorted(tree.nodes):
         dom = tree.nodes[n]
         t = MarkedIdentity(dom, np.ones(tuple(tree.cards[v] for v in dom)))
-        for i in tree.assignments.get(n, ()):
+        for i in placement.get(n, ()):
             t = _reference_absorb(t, potentials[i], tree.cards, counter)
         tables[n] = t
     return tables
@@ -583,7 +597,7 @@ def reference_ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     still marked when it must send stays silent.
     """
     counter = OpCounter()
-    _check_assignments(tree, [p.domain for p in potentials])
+    _check_inputs(tree, [p.domain for p in potentials])
     targets = _targets(tree, targets)
     tables = _reference_init_tables(tree, potentials, counter)
     root, preorder, postorder, parent, children = tree.rooting
@@ -622,7 +636,7 @@ def reference_hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) 
     divided by its register unless the register is empty.
     """
     counter = OpCounter()
-    _check_assignments(tree, [p.domain for p in potentials])
+    _check_inputs(tree, [p.domain for p in potentials])
     targets = _targets(tree, targets)
     tables = _reference_init_tables(tree, potentials, counter)
     root, preorder, postorder, parent, children = tree.rooting

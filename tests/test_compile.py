@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import signal
 
@@ -9,6 +10,7 @@ from bnbench import compile as bn_compile
 from bnbench.compile import (
     CompileError,
     JoinTree,
+    assign_potentials,
     attach_singletons,
     binary_join_tree,
     compile_structures,
@@ -98,7 +100,7 @@ class TestChestBinaryTree:
         assert again.edges() == chest_comp.binary.edges()
 
     def test_assignments(self, chest_comp):
-        got = {n: a for n, a in chest_comp.binary.assignments.items() if a}
+        got = assign_potentials(chest_comp.binary, [p.domain for p in chest_comp.potentials])
         assert got == {
             0: [0, 8], 1: [1], 7: [9], 8: [2], 9: [3], 10: [4],
             11: [5], 12: [6], 13: [7],
@@ -126,7 +128,7 @@ class TestChestJunctionTree:
         assert verify_join_tree(chest_comp.junction) == []
 
     def test_assignments(self, chest_comp):
-        got = {n: a for n, a in chest_comp.junction.assignments.items() if a}
+        got = assign_potentials(chest_comp.junction, [p.domain for p in chest_comp.potentials])
         assert got == {0: [0, 2, 8], 1: [5], 2: [6], 3: [7, 9], 4: [1, 3, 4]}
 
     def test_nodes_form_antichain(self, chest_comp):
@@ -200,9 +202,11 @@ class TestRandomNetworks:
         net, ev, comp = _compiled(seed, 1, n, 3, 3, 1)
         pots, _ = input_potentials(net, ev)
         for tree in (comp.junction, comp.binary):
-            placed = [i for idxs in tree.assignments.values() for i in idxs]
+            placement = assign_potentials(tree, [p.domain for p in pots])
+            placed = [i for idxs in placement.values() for i in idxs]
             assert sorted(placed) == list(range(len(pots)))
-            for node, idxs in tree.assignments.items():
+            for node, idxs in placement.items():
+                assert idxs == sorted(idxs)
                 for i in idxs:
                     assert set(pots[i].domain) <= set(tree.nodes[node])
 
@@ -224,6 +228,26 @@ class TestRandomNetworks:
         assert rebuilt.edges() == comp.junction.edges()
 
 
+class TestAssignPotentials:
+    """Placement is a pure function of a tree and the potentials' domains; a tree holds none."""
+
+    def test_returns_a_new_placement_and_sets_nothing(self, chest_comp):
+        tree = chest_comp.junction
+        bare = JoinTree(tree.kind, tree.nodes, tree.adj, tree.cards)
+        assert [f.name for f in dataclasses.fields(JoinTree)] == ["kind", "nodes", "adj", "cards", "plans"]
+        domains = [p.domain for p in chest_comp.potentials]
+        first = assign_potentials(bare, domains)
+        first[0].append(99)
+        assert assign_potentials(bare, domains) == {0: [0, 2, 8], 1: [5], 2: [6], 3: [7, 9], 4: [1, 3, 4]}
+        assert bare.plans == {}
+
+    @pytest.mark.parametrize("kind", ["junction", "binary"])
+    def test_a_domain_that_fits_no_node_is_refused(self, chest_comp, kind):
+        # A and D, variables 0 and 7, share no chest node
+        with pytest.raises(CompileError, match="^potential domain \\(0, 7\\) fits no tree node$"):
+            assign_potentials(getattr(chest_comp, kind), [(0,), (0, 7)])
+
+
 class TestVerifyJoinTree:
     def test_detects_broken_intersection_property(self):
         cards = {0: 2, 1: 2, 2: 2}
@@ -232,7 +256,6 @@ class TestVerifyJoinTree:
             nodes={0: (0, 1), 1: (2,), 2: (0, 2)},
             adj={0: [1], 1: [0, 2], 2: [1]},
             cards=cards,
-            assignments={},
         )
         assert any("intersection" in p or "path" in p for p in verify_join_tree(tree))
 
@@ -246,7 +269,6 @@ class TestVerifyJoinTree:
             nodes={0: (0,), 1: (0, 1), 2: (1,)},
             adj={0: [1, 2], 1: [0, 2], 2: [0, 1]},
             cards=cards,
-            assignments={},
         )
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(2)
@@ -264,7 +286,6 @@ class TestVerifyJoinTree:
             nodes={0: (0,), 1: (0, 1), 2: (0, 2), 3: (0, 3), 4: (0, 4)},
             adj={0: [1, 2, 3, 4], 1: [0], 2: [0], 3: [0], 4: [0]},
             cards=cards,
-            assignments={},
         )
         assert any("neighbors" in p for p in verify_join_tree(tree))
 
@@ -486,8 +507,9 @@ class TestWorklistCompileMatchesReference:
         net, ev = random_case(params, trial)
         _assert_stages_match_references(net, ev)
         comp = compile_structures(net, ev)
-        assert hashlib.sha256(tree_dump(comp.junction).encode()).hexdigest() == jt_sha
-        assert hashlib.sha256(tree_dump(comp.binary).encode()).hexdigest() == bjt_sha
+        domains = [p.domain for p in comp.potentials]
+        assert hashlib.sha256(tree_dump(comp.junction, domains).encode()).hexdigest() == jt_sha
+        assert hashlib.sha256(tree_dump(comp.binary, domains).encode()).hexdigest() == bjt_sha
 
 
 # The criterion-5 population (seed 55, 200 trials per preset) and the two

@@ -136,12 +136,12 @@ class TestRows:
 class TestTreeDump:
     def test_chest_junction_dump(self, chest, chest_comp):
         names = {v.id: v.name for v in chest.variables}
-        text = tree_dump(chest_comp.junction, names)
+        text = tree_dump(chest_comp.junction, [p.domain for p in chest_comp.potentials], names)
         lines = text.splitlines()
         assert lines[0] == "junction tree: 6 nodes, 5 edges"
         assert lines[1] == "node 0: {A,T} statespace=4 potentials=[0, 2, 8]"
         assert "edge (2,3): separator {E} statespace=2" in lines
 
     def test_dump_without_names_uses_ids(self, chest_comp):
-        text = tree_dump(chest_comp.junction)
+        text = tree_dump(chest_comp.junction, [p.domain for p in chest_comp.potentials])
         assert "node 0: {0,2} statespace=4" in text

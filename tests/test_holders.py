@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnbench import cli
-from bnbench.compile import JoinTree, compile_structures
+from bnbench.compile import JoinTree, assign_potentials, compile_structures
 from bnbench.engines import _MARGINALIZE, _MULTIPLY, hugin_run, ss_run
 from bnbench.generate import GenParams, random_case
 from bnbench.network import chest_clinic, chest_clinic_evidence
@@ -43,7 +43,8 @@ def _assert_index_matches_full_scans(comp):
         for x in sorted(tree.cards):
             assert tree.designated[x] == reference_designated(tree, x)
             assert tree.best_separators.get(x) == reference_best_separator(tree, x)
-        hosts = {i: nid for nid, idxs in tree.assignments.items() for i in idxs}
+        placement = assign_potentials(tree, [pot.domain for pot in comp.potentials])
+        hosts = {i: nid for nid, idxs in placement.items() for i in idxs}
         assert hosts == {i: reference_host(tree, pot.domain) for i, pot in enumerate(comp.potentials)}
 
 
@@ -140,7 +141,7 @@ def test_ss_extracts_through_separators_on_the_chest_junction_tree():
     comp = compile_structures(chest_clinic(), chest_clinic_evidence())
     tree = comp.junction
     ss_run(tree, comp.potentials)
-    plan = tree.plans["ss"][2]
+    plan = tree.plans["ss"][1]
     writes = {out: (kind, a, b) for kind, out, a, b, _ in plan.steps}
     via = []
     for x in sorted(tree.cards):
@@ -166,7 +167,7 @@ def test_best_separator_ties_go_to_the_lowest_edge(chest_comp):
     tied = {x: spaces[min(spaces)] for x, spaces in by_space.items() if len(spaces[min(spaces)]) > 1}
     assert tied == {3: [(1, 5), (4, 5)], 4: [(3, 5), (4, 5)]}
     hugin_run(tree, chest_comp.potentials)
-    plan = tree.plans["ls/hugin"][2][1]
+    plan = tree.plans["ls/hugin"][1][1]
     writes = {out: (kind, a) for kind, out, a, _, _ in plan.steps}
     for x, edges in tied.items():
         assert tree.best_separators[x] == (4, edges[0])

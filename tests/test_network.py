@@ -192,6 +192,49 @@ class TestLargeLikelihoods:
                 np.testing.assert_allclose(g[x].values, got[0][x].values, rtol=0, atol=1e-12)
 
 
+class TestSmallLikelihoods:
+    """A likelihood whose largest entry is positive and below 0.5 is scaled up by a power of two.
+
+    On the chest, A's likelihood replaced and D's left at ``[1, 0]``: each
+    vector gives the marginals of the normal vector it is a multiple of.
+    Unscaled, a subnormal entry lost its few significant bits, or flushed
+    to 0, in its first product.
+    """
+
+    @pytest.mark.parametrize(
+        "lik, same",
+        [([1e-320, 0.0], [1.0, 0.0]), ([5e-324, 0.0], [1.0, 0.0]), ([1e-310, 1e-310], [1.0, 1.0])],
+        ids=["1e-320", "smallest-subnormal", "two-subnormals"],
+    )
+    def test_subnormal_likelihoods_give_the_truth(self, chest, chest_evidence, lik, same):
+        truth = oracle_marginals(chest, {**chest_evidence, 0: np.array(same)})
+        evidence = {**chest_evidence, 0: np.array(lik)}
+        comp = compile_structures(chest, evidence)
+        runs = ((ls_run, comp.junction), (hugin_run, comp.junction), (ss_run, comp.binary))
+        got = [run(tree, comp.potentials).singleton_marginals for run, tree in runs]
+        got = [{x: m[x].values for x in m} for m in got] + [oracle_marginals(chest, evidence)]
+        for marginals in got:
+            assert sorted(marginals) == sorted(truth)
+            for x in truth:
+                np.testing.assert_allclose(marginals[x], truth[x], rtol=0, atol=1e-12)
+
+    def test_scaling_is_exact_and_only_outside_half_to_one(self, chest):
+        vectors = {0: [1e-320, 0.0], 1: [0.25, 0.1], 2: [0.5, 0.2], 3: [0.0, 0.0], 4: [0.75, 1.0]}
+        pots = evidence_potentials(chest, vectors)
+        assert pots[0].values.tobytes() == np.ldexp(np.array(vectors[0]), 1063).tobytes()
+        assert 0.5 <= pots[0].values.max() < 1.0
+        assert pots[1].values.tolist() == [0.5, 0.2]
+        for p, vid in zip(pots[2:], (2, 3, 4)):
+            assert p.values.tolist() == vectors[vid]
+
+    @pytest.mark.parametrize("largest, scale", [(1.0 + 2.0**-52, 0.5), (1.5, 0.5), (2.0, 0.25)])
+    def test_largest_entry_just_above_one_is_scaled(self, chest, largest, scale):
+        # (1, 2] cannot overflow a product, but the rule still scales it into [0.5, 1)
+        (pot,) = evidence_potentials(chest, {0: [largest, 0.125]})
+        assert 0.5 <= pot.values.max() < 1.0
+        assert pot.values.tolist() == [largest * scale, 0.125 * scale]
+
+
 class TestInputPotentials:
     def test_chest_has_ten_inputs_nine_domains(self, chest, chest_evidence):
         pots, hyper = input_potentials(chest, chest_evidence)

@@ -108,7 +108,6 @@ class TestChestStorage:
             nodes={0: (0, 1)},
             adj={0: []},
             cards={0: 2, 1: 2},
-            assignments={0: [0, 1]},
         )
         s = storage_report("ss", tree, net, {})
         assert s.separator_fpn == 0
