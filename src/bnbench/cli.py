@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from bnbench.compile import compile_structures
+from bnbench.compile import CompileError, compile_structures, verify_join_tree
 from bnbench.engines import hugin_run, ls_run, ss_run
 from bnbench.fileio import (
     ARCHES,
@@ -127,11 +127,15 @@ def cmd_fixture(args):
 def cmd_compile(args):
     net, evidence = _load_case(args.network)
     comp = compile_structures(net, evidence)
+    # compile_structures only builds; both trees are checked before anything is printed
+    for tree in (comp.junction, comp.binary):
+        problems = verify_join_tree(tree)
+        if problems:
+            raise CompileError("compiled %s tree invalid: %s" % (tree.kind, "; ".join(problems)))
     names = {v.id: v.name for v in net.variables}
     print("elimination order: %s" % ", ".join(names[i] for i in comp.order))
     dumps = {}
     for tree in (comp.junction, comp.binary):
-        # compile_structures has verified both trees and raises on a broken one
         print("%s tree verification: ok" % tree.kind)
         dumps[tree.kind] = tree_dump(tree, [p.domain for p in comp.potentials], names)
     if args.out:

@@ -6,9 +6,10 @@ junction tree by contracting the binary tree onto its maximal nodes.  Both
 structures therefore share one elimination order and one clique set, and
 every step is deterministic.  Seeding and condensation, which merges only
 equal domains, keep a singleton node for every variable in the binary
-tree, so no stage checks for one.  A tree holds no potentials: where each
-one goes follows from its domain alone (:func:`assign_potentials`), and the
-engines place them, and check what else they need, once per plan.
+tree, so no stage checks for one.  No stage checks the trees either:
+compilation only builds.  A tree holds no potentials: where each one goes
+follows from its domain alone (:func:`assign_potentials`), and the engines
+place them, and check the tree with :func:`verify_join_tree`, once per plan.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class JoinTree:
     each keyed on the targets and the domains of the potentials.  A plan
     follows from the structure and that key alone, so a run whose key
     differs from a kept plan's builds a new plan in place of the old one.
+
+    Nothing checks a tree when it is built, by hand or by compilation.  The
+    engines run :func:`verify_join_tree` on it where they build a plan, so
+    a tree whose ``adj`` is not a symmetric adjacency of its nodes, that is
+    no tree, or that breaks running intersection is refused there.
     """
 
     kind: str
@@ -251,26 +257,28 @@ def elimination_order(graph: dict, cards: dict) -> list:
     return order
 
 
-def binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
+def binary_join_tree(domains: list, cards: dict, order: list) -> JoinTree:
     """Fusion construction of a binary join tree over the input domains.
 
     The initial pool holds a singleton node for every variable (node id ==
-    variable id) plus one node per distinct multi-variable input domain in
-    first-appearance order.  Eliminating each variable repeatedly combines
-    the two pool nodes of smallest state space (ties by lowest id) that
-    contain it, then leaves a continuation node on the union minus the
-    variable.  Seeding all singletons up front is what puts every variable's
+    variable id) plus one node per distinct multi-variable input domain,
+    each sorted, in first-appearance order; ``domains`` may list a domain
+    more than once, in any variable order.  Eliminating each variable
+    repeatedly combines the two pool nodes of smallest state space (ties by
+    lowest id) that contain it, then leaves a continuation node on the
+    union minus the variable.  Seeding all singletons up front is what puts every variable's
     singleton into the final tree while keeping it binary.  The pool is held
     as an index from each variable to the pool nodes containing it.
 
-    The result is not checked here: :func:`compile_structures` checks the
-    condensed tree that replaces it.  It is a forest by construction: a node
-    gets its one edge to a newer node as it leaves the pool, so every node
-    has at most one neighbor with a higher id and no cycle can form.
-    :func:`condense` only contracts edges between adjacent equal-domain
-    nodes, so a running-intersection break or a second component survives
-    into the condensed tree, whose check reports it; a node with too many
-    neighbors either survives too or is merged into one with at most three.
+    The result is not checked here, and neither is the condensed tree that
+    replaces it: the engines check each tree they build a plan on.  It is a
+    forest by construction: a node gets its one edge to a newer node as it
+    leaves the pool, so every node has at most one neighbor with a higher
+    id and no cycle can form.  :func:`condense` only contracts edges
+    between adjacent equal-domain nodes, so a running-intersection break or
+    a second component survives into the condensed tree, whose check
+    reports it; a node with too many neighbors either survives too or is
+    merged into one with at most three.
     """
     nodes = {}
     adj = {}
@@ -287,7 +295,7 @@ def binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
     for v in sorted(cards):
         add((v,))
     seen = set()
-    for dom in hypergraph:
+    for dom in domains:
         dom = tuple(sorted(dom))
         if len(dom) < 2 or dom in seen:
             continue
@@ -432,17 +440,36 @@ def assign_potentials(tree: JoinTree, domains) -> dict:
 
 
 def verify_join_tree(tree: JoinTree) -> list:
-    """Tree-ness, running intersection, and (for binary trees) degree <= 3.
+    """Every problem that keeps ``tree`` from being a join tree of its kind; ``[]`` if none.
 
-    Reads the tree's cached rooting, which the engines reuse.  A graph with
-    n nodes is a tree iff it has n - 1 edges and the rooting reaches every
+    The engines' one check of a tree, made where they build each plan;
+    compilation makes none.  First the adjacency: each node needs an
+    ``adj`` entry, each of its neighbors must be another node, listed once,
+    that lists it back, and each of its variables needs a cardinality.  A
+    tree with any of these problems gets no further check, since the
+    rooting reads both.  So a hand-built tree with broken adjacency is
+    reported, never raised on.  Then tree-ness, running intersection, and
+    (for binary trees) degree <= 3, read off the tree's cached rooting,
+    which the engines reuse.  With the adjacency sound, a graph with n
+    nodes is a tree iff it has n - 1 edges and the rooting reaches every
     node.  In a rooted tree, the holders of a variable are connected iff
-    exactly one of them is the root or has a parent that lacks the variable.
+    exactly one of them is the root or has a parent that lacks the
+    variable.
     """
     ids = sorted(tree.nodes)
     if not ids:
         return ["empty tree"]
-    problems = []
+    problems = ["node %r has no adjacency entry" % n for n in ids if n not in tree.adj]
+    for n in ids:
+        for i, q in enumerate(tree.adj.get(n, ())):
+            why = ("is listed twice" if tree.adj[n].index(q) < i else "is the node itself" if q == n else "is not a node" if q not in tree.nodes
+                   else "does not list it back" if n not in tree.adj.get(q, ()) else None)
+            if why is not None:
+                problems.append("node %r: neighbor %r %s" % (n, q, why))
+    if not set().union(*tree.nodes.values()) <= tree.cards.keys():
+        problems.extend("node %r: variable %r has no cardinality" % (n, x) for n in ids for x in tree.nodes[n] if x not in tree.cards)
+    if problems:
+        return problems
     edge_count = sum(len(tree.adj[n]) for n in ids) // 2
     if edge_count != len(ids) - 1:
         problems.append("%d nodes need %d edges, found %d" % (len(ids), len(ids) - 1, edge_count))
@@ -473,20 +500,16 @@ class CompileResult:
 def compile_structures(net: BayesNet, evidence: dict) -> CompileResult:
     """Build both structures, and the potentials they run on, from one elimination order.
 
-    Each kept tree is checked once, by :func:`verify_join_tree`: the
-    junction tree and the condensed binary tree.  The fusion forest from
-    :func:`binary_join_tree` needs no check of its own (see there), and it
-    is discarded without ever building a structural index.  The binary
-    tree's singleton nodes (module docstring) get no check here either, and
-    no potential is placed: the engines place them when they build a plan.
+    Only builds: no tree is checked and no potential placed here.  The
+    engines run :func:`verify_join_tree` and place the potentials where
+    they build each plan, so a bench trial checks the junction tree once,
+    in the LS/Hugin build, and the condensed binary tree once, in the SS
+    build.  The fusion forest from :func:`binary_join_tree` is discarded
+    without ever building a structural index, and the binary tree's
+    singleton nodes (module docstring) need no check.
     """
-    pots, hypergraph = input_potentials(net, evidence)
+    pots = input_potentials(net, evidence)
     cards = net.cards
     order = elimination_order(moral_graph(net), cards)
-    bjt = condense(binary_join_tree(hypergraph, cards, order))
-    jt = junction_tree(bjt)
-    for tree in (jt, bjt):
-        problems = verify_join_tree(tree)
-        if problems:
-            raise CompileError("compiled %s tree invalid: %s" % (tree.kind, "; ".join(problems)))
-    return CompileResult(order, pots, jt, bjt)
+    bjt = condense(binary_join_tree([p.domain for p in pots], cards, order))
+    return CompileResult(order, pots, junction_tree(bjt), bjt)

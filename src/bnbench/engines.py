@@ -15,9 +15,10 @@ Shared conventions that the counting targets pin down:
   so counters are bit-reproducible.
 * One precondition, checked when a plan is built (:func:`_check_inputs`):
   at least one potential, every target mentioned by some potential, on a
-  connected tree.  Each builder then places every potential on the
-  smallest node holding its domain (``compile.assign_potentials``, which
-  raises ``CompileError`` for a domain that fits no node).  Every table,
+  join tree of its kind (``compile.verify_join_tree`` finds no problem;
+  compilation checks nothing).  Each builder then places every potential
+  on the smallest node holding its domain (``compile.assign_potentials``,
+  which raises ``CompileError`` for a domain that fits no node).  Every table,
   register and product an engine reads after the message loop then exists
   and spans what it must.  Nothing downstream checks again.
 
@@ -99,17 +100,19 @@ def _check_inputs(tree: JoinTree, domains, targets=()):
     is read.  :func:`_plan` calls it before every build, so every engine
     run and the SS storage replay pass it.  Refused, with
     :class:`EngineError`: no potentials; a target that no potential
-    mentions; a tree the rooting does not reach.  Where each potential
-    goes is no input: the builders place it by rule.
+    mentions; a tree that is no join tree of its kind, with every problem
+    ``compile.verify_join_tree`` finds.  That function is looked up through
+    its module at each call, as the builders look up ``assign_potentials``.
+    Where each potential goes is no input: the builders place it by rule.
     """
     if not domains:
         raise EngineError("no input potentials to propagate")
     unmentioned = set(targets) - {v for dom in domains for v in dom}
     if unmentioned:
         raise EngineError("target variable %r appears in no input potential" % min(unmentioned))
-    reached = len(tree.rooting.preorder)
-    if reached != len(tree.nodes):
-        raise EngineError("tree is not connected: %d of %d nodes reachable from the root" % (reached, len(tree.nodes)))
+    problems = bnbench.compile.verify_join_tree(tree)
+    if problems:
+        raise EngineError("%s tree invalid: %s" % (tree.kind, "; ".join(problems)))
 
 
 def _edge_key(a, b):
@@ -117,10 +120,14 @@ def _edge_key(a, b):
 
 
 def _targets(tree: JoinTree, targets):
-    """The targets in ascending order, every variable by default; each must lie in a node."""
+    """The targets in ascending order, every variable by default; each must lie in a node.
+
+    Reads ``holders``, which needs no cardinality, so a node variable
+    without one reaches :func:`_check_inputs` and is refused there.
+    """
     targets = sorted(tree.cards) if targets is None else sorted(set(targets))
     for x in targets:
-        if x not in tree.designated:
+        if x not in tree.holders:
             raise EngineError("variable %r absent from every tree node" % x)
     return targets
 
@@ -318,7 +325,7 @@ def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineR
     quotient nor the receiving product is performed.
     Singleton marginals come from a smallest separator containing the
     variable when one exists, else from a smallest clique.  Every register
-    is written by then: on a connected tree the inward pass brings every
+    is written by then: on a join tree the inward pass brings every
     potential to the root, so each outward send has a table to send.
 
     ``on_step(phase, sender, receiver, tables, store)`` is invoked after
@@ -460,7 +467,7 @@ def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
     own node marginal is already the answer.
 
     No uniform stand-in is needed.  Every message toward a sink is sent, and
-    on a connected tree with at least one potential (checked when the plan
+    on a join tree with at least one potential (checked when the plan
     is built) the two sides of any edge together hold one, so a node
     marginal and a separator product are never None.  Each contains its
     variable x, because some potential mentions x, a precondition checked

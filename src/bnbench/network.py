@@ -272,22 +272,12 @@ def evidence_potentials(net: BayesNet, evidence: dict) -> list:
     return pots
 
 
-def input_potentials(net: BayesNet, evidence: dict):
-    """All CPTs plus one potential per evidence item, and their domain hypergraph.
+def input_potentials(net: BayesNet, evidence: dict) -> list:
+    """All CPTs, then one potential per evidence item.
 
-    Potential order: CPTs by variable id, then evidence by variable id.  The
-    hypergraph lists the distinct sorted domains in first-appearance order.
+    Order: CPTs by variable id, then evidence by variable id.
     """
-    pots = [net.cpts[v.id] for v in net.variables]
-    pots.extend(evidence_potentials(net, evidence))
-    hypergraph = []
-    seen = set()
-    for pot in pots:
-        dom = tuple(sorted(pot.domain))
-        if dom not in seen:
-            seen.add(dom)
-            hypergraph.append(dom)
-    return pots, hypergraph
+    return [net.cpts[v.id] for v in net.variables] + evidence_potentials(net, evidence)
 
 
 def joint_oracle(net: BayesNet, evidence: dict, cap: int = ORACLE_CAP) -> Potential:
@@ -307,7 +297,7 @@ def joint_oracle(net: BayesNet, evidence: dict, cap: int = ORACLE_CAP) -> Potent
             "joint has %d configurations, above the oracle cap %d" % (size, cap)
         )
     scratch = OpCounter()
-    pots, _ = input_potentials(net, evidence)
+    pots = input_potentials(net, evidence)
     joint = pots[0]
     for pot in pots[1:]:
         joint = multiply(joint, pot, scratch)

@@ -5,9 +5,11 @@ architecture-specific part: LS keeps one potential per clique; Hugin adds
 one register per separator; SS keeps no node potentials but fills up to two
 directed message registers per binary-join-tree edge, and only the
 registers an actual demand-driven run touches are counted.  That count
-replays ``ss_run``, so the engines' one check of a tree and its inputs, and
-their placement of each potential (see :mod:`bnbench.engines`), refuse
-here what they refuse there; storage has no check of its own.
+replays ``ss_run``, so the engines' one check of a tree and its inputs
+(``compile.verify_join_tree`` among them), and their placement of each
+potential (see :mod:`bnbench.engines`), refuse here what they refuse
+there; on a tree that has run, the replay reuses the kept plan and checks
+nothing again.  Storage has no check of its own.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ def storage_report(arch: str, tree: JoinTree, net: BayesNet, evidence: dict, tar
             separator_fpn = sum(tree.sep_spaces[e] for e in tree.edges())
     elif arch == "ss":
         clique_fpn = 0
-        pots, _ = input_potentials(net, evidence)
-        probe = ss_run(tree, pots, targets)
+        probe = ss_run(tree, input_potentials(net, evidence), targets)
         separator_fpn = sum(
             m.size for m in probe.messages.values() if m is not None
         )

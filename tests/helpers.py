@@ -341,7 +341,7 @@ def reference_elimination_order(graph: dict, cards: dict) -> list:
     return order
 
 
-def reference_binary_join_tree(hypergraph: list, cards: dict, order: list) -> JoinTree:
+def reference_binary_join_tree(domains: list, cards: dict, order: list) -> JoinTree:
     """Fusion construction that scans and re-sorts the whole pool per step."""
     nodes = {}
     adj = {}
@@ -349,7 +349,7 @@ def reference_binary_join_tree(hypergraph: list, cards: dict, order: list) -> Jo
         nodes[v] = (v,)
         adj[v] = []
     seen = set()
-    for dom in hypergraph:
+    for dom in domains:
         dom = tuple(sorted(dom))
         if len(dom) < 2 or dom in seen:
             continue

@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import re
 import signal
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnbench import cli
 from bnbench import compile as bn_compile
 from bnbench.compile import (
     CompileError,
@@ -20,7 +23,8 @@ from bnbench.compile import (
     moral_graph,
     verify_join_tree,
 )
-from bnbench.fileio import tree_dump
+from bnbench.engines import EngineError, hugin_run, ls_run, ss_run
+from bnbench.fileio import save_network, tree_dump
 from bnbench.generate import GenParams, random_case
 from bnbench.network import input_potentials
 from bnbench.potentials import PotentialError
@@ -200,7 +204,7 @@ class TestRandomNetworks:
     @settings(max_examples=80, deadline=None)
     def test_every_input_domain_is_covered(self, seed, n):
         net, ev, comp = _compiled(seed, 1, n, 3, 3, 1)
-        pots, _ = input_potentials(net, ev)
+        pots = input_potentials(net, ev)
         for tree in (comp.junction, comp.binary):
             placement = assign_potentials(tree, [p.domain for p in pots])
             placed = [i for idxs in placement.values() for i in idxs]
@@ -291,28 +295,40 @@ class TestVerifyJoinTree:
 
 
 class TestEachKeptTreeCheckedOnce:
-    def test_two_checks_and_no_index_on_the_fusion_forest(self, chest, chest_evidence, monkeypatch):
-        checked, fused = [], []
-        verify, fuse = bn_compile.verify_join_tree, bn_compile.binary_join_tree
+    """The engines check each tree where they build its plan; compilation checks none."""
+
+    def test_two_checks_and_no_index_on_the_fusion_forest(self, monkeypatch):
+        """One bench trial checks the junction and the binary tree once each, from the engine builds."""
+        checked, fused, compiled = [], [], []
+        verify, fuse, build = bn_compile.verify_join_tree, bn_compile.binary_join_tree, cli.compile_structures
 
         def counted_verify(tree):
-            checked.append(tree)
+            checked.append((tree, sys._getframe(1).f_code.co_name))
             return verify(tree)
 
         def kept_fuse(*args):
             fused.append(fuse(*args))
             return fused[-1]
 
+        def kept_compile(*args):
+            compiled.append(build(*args))
+            assert checked == []
+            return compiled[-1]
+
         monkeypatch.setattr(bn_compile, "verify_join_tree", counted_verify)
         monkeypatch.setattr(bn_compile, "binary_join_tree", kept_fuse)
-        comp = compile_structures(chest, chest_evidence)
-        assert len(checked) == 2
-        assert checked[0] is comp.junction and checked[1] is comp.binary
-        (forest,) = fused
-        assert "holders" not in vars(forest) and "rooting" not in vars(forest)
+        monkeypatch.setattr(cli, "compile_structures", kept_compile)
+        # the two acceptance-criterion-6 presets
+        for params in (GenParams(n=8, c2=2, m=3, p=3, seed=0), GenParams(n=8, c2=5, m=6, p=3, seed=0)):
+            del checked[:], fused[:], compiled[:]
+            cli._bench_trial(params, 0)
+            (comp,), (forest,) = compiled, fused
+            assert [(tree.kind, caller) for tree, caller in checked] == [("junction", "_check_inputs"), ("binary", "_check_inputs")]
+            assert checked[0][0] is comp.junction and checked[1][0] is comp.binary
+            assert "holders" not in vars(forest) and "rooting" not in vars(forest)
 
     @staticmethod
-    def _compile_with_broken_fusion(net, evidence, monkeypatch, edit):
+    def _broken_fusion(monkeypatch, edit):
         fuse = bn_compile.binary_join_tree
 
         def broken(*args):
@@ -322,9 +338,27 @@ class TestEachKeptTreeCheckedOnce:
             return _rebuilt(tree, adj=adj)
 
         monkeypatch.setattr(bn_compile, "binary_join_tree", broken)
-        return compile_structures(net, evidence)
 
-    def test_running_intersection_break_is_reported(self, chest, chest_evidence, monkeypatch):
+    @staticmethod
+    def _assert_refused_everywhere(comp, net, evidence, tmp_path, capsys, problem):
+        """The check of each tree, all three engines on it and ``bnbench compile`` name ``problem``.
+
+        The break survives contraction, so the junction tree has it too, and
+        ``bnbench compile``, which checks that tree first, names it there.
+        """
+        for tree in (comp.junction, comp.binary):
+            assert problem in verify_join_tree(tree)
+            for run in (ls_run, hugin_run, ss_run):
+                with pytest.raises(EngineError, match="^%s tree invalid: .*%s" % (tree.kind, re.escape(problem))):
+                    run(tree, comp.potentials)
+        path = str(tmp_path / "net.json")
+        save_network(path, net, evidence)
+        assert cli.main(["compile", "--network", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.match("^error: compiled junction tree invalid: .*%s" % re.escape(problem), err)
+
+    def test_running_intersection_break_is_reported(self, chest, chest_evidence, monkeypatch, tmp_path, capsys):
         moved = []
 
         def move_singleton_leaf(tree, adj):
@@ -338,18 +372,20 @@ class TestEachKeptTreeCheckedOnce:
             adj[host].add(leaf)
             moved.append(x)
 
-        with pytest.raises(CompileError) as err:
-            self._compile_with_broken_fusion(chest, chest_evidence, monkeypatch, move_singleton_leaf)
-        assert "running intersection fails for variable %r" % moved[0] in str(err.value)
+        self._broken_fusion(monkeypatch, move_singleton_leaf)
+        comp = compile_structures(chest, chest_evidence)
+        problem = "running intersection fails for variable %r" % moved[0]
+        self._assert_refused_everywhere(comp, chest, chest_evidence, tmp_path, capsys, problem)
 
-    def test_second_component_is_reported(self, chest, chest_evidence, monkeypatch):
+    def test_second_component_is_reported(self, chest, chest_evidence, monkeypatch, tmp_path, capsys):
         def cut_first_edge(tree, adj):
             u, v = tree.edges()[0]
             adj[u].discard(v)
             adj[v].discard(u)
 
-        with pytest.raises(CompileError, match="tree is disconnected"):
-            self._compile_with_broken_fusion(chest, chest_evidence, monkeypatch, cut_first_edge)
+        self._broken_fusion(monkeypatch, cut_first_edge)
+        comp = compile_structures(chest, chest_evidence)
+        self._assert_refused_everywhere(comp, chest, chest_evidence, tmp_path, capsys, "tree is disconnected")
 
 
 def _rebuilt(tree, nodes=None, adj=None):
@@ -454,18 +490,18 @@ class TestVerifyMatchesReference:
 
 def _assert_stages_match_references(net, ev):
     """Every compile stage makes the choices of its restart-loop reference."""
-    _, hypergraph = input_potentials(net, ev)
+    domains = [p.domain for p in input_potentials(net, ev)]
     graph, cards = moral_graph(net), net.cards
     order = elimination_order(graph, cards)
     assert order == reference_elimination_order(graph, cards)
-    fused = binary_join_tree(hypergraph, cards, order)
+    fused = binary_join_tree(domains, cards, order)
     # a tree by construction: each node has at most one edge to a newer node
     assert len(fused.edges()) == len(fused.nodes) - 1
     assert all(sum(q > n for q in fused.adj[n]) <= 1 for n in fused.nodes)
     condensed = condense(fused)
     seeded = attach_singletons(condensed, list(cards))
     for got, want in (
-        (fused, reference_binary_join_tree(hypergraph, cards, order)),
+        (fused, reference_binary_join_tree(domains, cards, order)),
         (condensed, reference_condense(fused)),
         (junction_tree(seeded), reference_junction_tree(seeded)),
     ):
@@ -539,10 +575,9 @@ def test_attach_singletons_is_a_noop_on_acceptance_populations(params, trials):
     """Every variable has a singleton node in the compiled binary tree; compile relies on it unchecked."""
     for t in range(trials):
         net, ev = random_case(params, t)
-        _, hypergraph = input_potentials(net, ev)
         cards = net.cards
         order = elimination_order(moral_graph(net), cards)
-        bjt = condense(binary_join_tree(hypergraph, cards, order))
+        bjt = condense(binary_join_tree([p.domain for p in input_potentials(net, ev)], cards, order))
         out = attach_singletons(bjt, cards)
         assert out.nodes == bjt.nodes
         assert out.adj == bjt.adj

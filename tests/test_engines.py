@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bnbench import cli, engines, storage
-from bnbench.compile import CompileError, JoinTree, assign_potentials, compile_structures
+from bnbench.compile import CompileError, JoinTree, assign_potentials, compile_structures, verify_join_tree
 from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
 from bnbench.generate import GenParams, random_case
@@ -434,7 +436,7 @@ class TestPlanReuse:
         # another potentials list, here without the evidence, is placed anew
         net, ev = random_case(GenParams(n=30, c2=3, m=3, p=2, seed=4), 0)
         comp = compile_structures(net, ev)
-        others, _ = input_potentials(net, {})
+        others = input_potentials(net, {})
         assert len(others) < len(comp.potentials)
         for tree in (comp.junction, comp.binary):
             _assert_all_match_references(tree, comp.potentials)
@@ -1222,12 +1224,68 @@ class TestErrors:
             from_values((2, 3), (2, 2), [0.9, 0.05, 0.03, 0.02]),
         ]
         for run in (ls_run, hugin_run, ss_run):
-            with pytest.raises(EngineError, match="^tree is not connected: 2 of 4 nodes reachable"):
+            with pytest.raises(EngineError, match="^junction tree invalid: 4 nodes need 3 edges, found 1; tree is disconnected$"):
                 run(tree, pots)
 
     def test_unknown_target_rejected(self, chest_comp):
         with pytest.raises(EngineError):
             ss_run(chest_comp.binary, chest_comp.potentials, targets=[42])
+
+
+# The chest junction tree, built by hand, and edits that make it no join tree of its kind.
+CHEST_JT_NODES = {0: (0, 2), 1: (2, 3, 5), 2: (5, 6), 3: (4, 5, 7), 4: (1, 3, 4), 5: (3, 4, 5)}
+CHEST_JT_ADJ = {0: [1], 1: [0, 5], 2: [3], 3: [2, 5], 4: [5], 5: [1, 3, 4]}
+# node 2 (5, 6) moved from node 3 to node 5: still a junction tree, but node 5 has four neighbors
+DEGREE_FOUR_ADJ = {0: [1], 1: [0, 5], 2: [5], 3: [5], 4: [5], 5: [1, 2, 3, 4]}
+NON_TREES = {
+    "drop-3": ({5: (4, 5)}, {}, "junction", (), "running intersection fails for variable 3"),
+    "drop-4": ({5: (3, 5)}, {}, "junction", (), "running intersection fails for variable 4"),
+    "drop-5": ({5: (3, 4)}, {}, "junction", (), "running intersection fails for variable 5"),
+    "edge-1-2": ({}, {1: [0, 2, 5], 2: [1, 3]}, "junction", (), "6 nodes need 5 edges, found 6"),
+    "no-adj-entry": ({}, {4: None, 5: [1, 3]}, "junction", (), "node 4 has no adjacency entry"),
+    "neighbor-twice": ({}, {0: [1, 1]}, "junction", (), "node 0: neighbor 1 is listed twice"),
+    "self-loop": ({}, {2: [2, 3]}, "junction", (), "node 2: neighbor 2 is the node itself"),
+    "unknown-neighbor": ({}, {4: [5, 9]}, "junction", (), "node 4: neighbor 9 is not a node"),
+    "one-way": ({}, {5: [1, 3]}, "junction", (), "node 4: neighbor 5 does not list it back"),
+    "no-cardinality": ({}, {}, "junction", (6,), "node 2: variable 6 has no cardinality"),
+    "binary-degree-4": ({}, DEGREE_FOUR_ADJ, "binary", (), "node 5 has 4 neighbors"),
+}
+
+
+def _chest_tree(nodes=None, adj=None, kind="junction", uncarded=()):
+    """A hand-built chest junction tree; ``nodes`` and ``adj`` entries override, a None ``adj`` entry is dropped."""
+    nodes = {**CHEST_JT_NODES, **(nodes or {})}
+    adj = {n: list(qs) for n, qs in {**CHEST_JT_ADJ, **(adj or {})}.items() if qs is not None}
+    return JoinTree(kind, nodes, adj, {x: 2 for x in range(8) if x not in uncarded})
+
+
+class TestHandBuiltNonTreesRefused:
+    """A hand-built tree that is no join tree of its kind is refused by every engine, naming the problem."""
+
+    def test_the_unedited_trees_run_exactly(self, chest, chest_evidence, chest_comp):
+        oracle = oracle_marginals(chest, chest_evidence)
+        for tree in (_chest_tree(), _chest_tree(adj=DEGREE_FOUR_ADJ)):
+            assert verify_join_tree(tree) == []
+            for run in (ls_run, hugin_run, ss_run):
+                assert _worst(run(tree, chest_comp.potentials), oracle) <= 1e-9, run.__name__
+
+    @pytest.mark.parametrize("case", sorted(NON_TREES))
+    def test_every_engine_refuses_naming_the_problem(self, chest_comp, case):
+        nodes, adj, kind, uncarded, problem = NON_TREES[case]
+        assert problem in verify_join_tree(_chest_tree(nodes, adj, kind, uncarded))
+        for run in (ls_run, hugin_run, ss_run):
+            tree = _chest_tree(nodes, adj, kind, uncarded)
+            with pytest.raises(EngineError, match="^%s tree invalid: .*%s" % (kind, re.escape(problem))):
+                run(tree, chest_comp.potentials)
+            assert tree.plans == {}
+
+    def test_a_two_node_tree_listing_its_neighbor_twice(self):
+        tree = JoinTree("junction", {0: (0,), 1: (0, 1)}, {0: [1, 1], 1: [0]}, {0: 2, 1: 2})
+        assert verify_join_tree(tree) == ["node 0: neighbor 1 is listed twice"]
+        pots = [from_values((0, 1), (2, 2), [0.2, 0.3, 0.4, 0.1])]
+        for run in (ls_run, hugin_run, ss_run):
+            with pytest.raises(EngineError, match="^junction tree invalid: node 0: neighbor 1 is listed twice$"):
+                run(tree, pots)
 
 
 class TestMisplacedInputsRejected:

@@ -15,6 +15,14 @@ on stderr may quote the NaN it refuses).  Where ``infer`` answers
 and the joint has at most 2**10 cells, its marginals must equal an exact
 rational brute force over the document's own numbers to 1e-12; that
 brute force shares no code with the program.
+
+A second harness edits compiled trees instead: the chest's and those of a
+few generated draws of at most eight variables, junction and binary alike.
+One or two edits drop a variable from a node, add or remove an edge, make
+an edge one-way, list a neighbor twice or relabel the tree's kind.  Each
+engine must then refuse the tree (``EngineError`` or ``CompileError``) or
+give the brute-force oracle's marginals to 1e-9; no other exception is
+allowed.
 """
 
 import contextlib
@@ -30,9 +38,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bnbench import cli
+from bnbench.compile import CompileError, JoinTree, compile_structures
+from bnbench.engines import EngineError, hugin_run, ls_run, ss_run
 from bnbench.fileio import network_to_dict
 from bnbench.generate import GenParams, random_case
-from bnbench.network import chest_clinic, chest_clinic_evidence, figure9_evidence, figure9_net
+from bnbench.network import chest_clinic, chest_clinic_evidence, figure9_evidence, figure9_net, oracle_marginals
 
 DOCS = {
     "chest": network_to_dict(chest_clinic(), chest_clinic_evidence()),
@@ -159,3 +169,63 @@ def test_edited_documents_are_answered_or_refused(scratch, label, data):
     assert rows
     for arch, _tree, name, state, probability in rows:
         assert abs(float(probability) - float(exact[name][int(state)])) <= 1e-12, (arch, name, state)
+
+
+def _compiled_case(net, evidence):
+    return compile_structures(net, evidence), oracle_marginals(net, evidence)
+
+
+TREE_CASES = {
+    "chest": _compiled_case(chest_clinic(), chest_clinic_evidence()),
+    **{
+        "draw-%d-%d" % (n, t): _compiled_case(*random_case(GenParams(n=n, c2=3, m=3, p=2, seed=11), t))
+        for n in (5, 8)
+        for t in range(2)
+    },
+}
+TREE_EDITS = ["drop", "add", "remove", "one-way", "duplicate", "kind"]
+
+
+def _edit_tree(kind, nodes, adj, edit, data):
+    """``(kind, nodes, adj)`` after ``edit``, drawn from ``data``; ``nodes`` and ``adj`` are edited in place."""
+    ids = sorted(nodes)
+    # every listed neighbor, as (node, neighbor); an earlier edit may have made one one-way
+    edges = [(u, v) for u in ids for v in adj[u]]
+    if edit == "drop":
+        n = data.draw(st.sampled_from([n for n in ids if nodes[n]]), label="node")
+        x = data.draw(st.sampled_from(nodes[n]), label="variable")
+        nodes[n] = tuple(v for v in nodes[n] if v != x)
+    elif edit == "add":
+        u, v = data.draw(st.sampled_from([(u, v) for u in ids for v in ids if u < v]), label="pair")
+        adj[u].append(v)
+        adj[v].append(u)
+    elif edit in ("remove", "one-way") and edges:
+        u, v = data.draw(st.sampled_from(edges), label="edge")
+        adj[u].remove(v)
+        if edit == "remove" and u in adj[v]:
+            adj[v].remove(u)
+    elif edit == "duplicate" and edges:
+        u, v = data.draw(st.sampled_from(edges), label="edge")
+        adj[u].append(v)
+    elif edit == "kind":
+        kind = "binary" if kind == "junction" else "junction"
+    return kind, nodes, adj
+
+
+@given(st.sampled_from(sorted(TREE_CASES)), st.sampled_from(["junction", "binary"]), st.data())
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+def test_edited_trees_are_refused_or_exact(label, which, data):
+    comp, oracle = TREE_CASES[label]
+    tree = getattr(comp, which)
+    kind, nodes, adj = tree.kind, dict(tree.nodes), {n: list(qs) for n, qs in tree.adj.items()}
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        kind, nodes, adj = _edit_tree(kind, nodes, adj, data.draw(st.sampled_from(TREE_EDITS), label="edit"), data)
+    edited = JoinTree(kind, nodes, adj, dict(tree.cards))
+    for run in (ls_run, hugin_run, ss_run):
+        try:
+            res = run(edited, comp.potentials)
+        except (EngineError, CompileError):
+            continue
+        assert sorted(res.singleton_marginals) == sorted(oracle), run.__name__
+        for x, marginal in res.singleton_marginals.items():
+            assert abs(marginal.values - oracle[x]).max() <= 1e-9, (run.__name__, x)

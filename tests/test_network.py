@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bnbench.compile import compile_structures
+from bnbench.compile import binary_join_tree, compile_structures
 from bnbench.counting import OpCounter
 from bnbench.engines import hugin_run, ls_run, ss_run
 from bnbench.generate import GenParams, random_case
@@ -237,14 +237,22 @@ class TestSmallLikelihoods:
 
 class TestInputPotentials:
     def test_chest_has_ten_inputs_nine_domains(self, chest, chest_evidence):
-        pots, hyper = input_potentials(chest, chest_evidence)
-        assert len(pots) == 10
-        assert len(hyper) == 9
-        assert hyper[0] == (0,)
-        assert (2, 3, 5) in hyper and (4, 5, 7) in hyper
+        pots = input_potentials(chest, chest_evidence)
+        assert isinstance(pots, list) and len(pots) == 10
+        # nine distinct domains: the evidence on A repeats A's CPT domain
+        domains = [p.domain for p in pots]
+        assert len({tuple(sorted(d)) for d in domains}) == 9
+        # with nothing eliminated the pool is the seeded one: every singleton, then each
+        # multi-variable domain once, sorted, in first-appearance order
+        for listed in (domains, domains + [d[::-1] for d in domains]):
+            seeded = binary_join_tree(listed, chest.cards, [])
+            assert seeded.nodes == {
+                **{v: (v,) for v in range(8)},
+                8: (0, 2), 9: (1, 3), 10: (1, 4), 11: (2, 3, 5), 12: (5, 6), 13: (4, 5, 7),
+            }
 
     def test_cpts_come_first_in_variable_order(self, chest, chest_evidence):
-        pots, _ = input_potentials(chest, chest_evidence)
+        pots = input_potentials(chest, chest_evidence)
         assert [p.domain[-1] for p in pots[:8]] == list(range(8))
 
 
