@@ -545,6 +545,10 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a table too large to allocate, such as a clique of 2**51 cells
+        print("error: out of memory: %s" % (str(exc) or "an allocation failed"), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

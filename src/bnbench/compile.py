@@ -55,10 +55,11 @@ class JoinTree:
     ``nodes``, ``adj`` and ``cards`` are never changed once a tree is built:
     every compile stage builds a new tree.  So the structural index (the
     cached properties ``spaces``, ``separators``, ``sep_spaces``,
-    ``holders``, ``rooting``, ``sends``, ``designated`` and
-    ``best_separators``) is computed on first use and kept for the life of
-    the tree.  ``separators`` is the tree's one walk of its edges, and
-    :meth:`edges` reads its keys.  SS never reads ``separators`` itself:
+    ``holders``, ``rooting``, ``designated`` and ``best_separators``) is
+    computed on first use and kept for the life of the tree.  The send
+    order is no property: :func:`schedule` reads it off ``rooting`` for
+    each plan build.  ``separators`` is the tree's one walk of its edges,
+    and :meth:`edges` reads its keys.  SS never reads ``separators`` itself:
     its messages are marginalized onto the receiver's domain, and only
     ``best_separators`` reads it, for a junction-tree extraction, so a
     binary tree that only SS and its storage count run on never builds
@@ -159,18 +160,6 @@ class JoinTree:
         return Rooting(root, preorder, postorder, parent, children)
 
     @cached_property
-    def sends(self) -> list:
-        """Every directed edge once, in message order.
-
-        Each non-root node to its parent in postorder, then each node to its
-        children in preorder: a node sends inward after hearing from all its
-        children, and outward after hearing from its parent.
-        """
-        root, preorder, postorder, parent, children = self.rooting
-        inward = [(n, parent[n]) for n in postorder if n != root]
-        return inward + [(n, c) for n in preorder for c in children[n]]
-
-    @cached_property
     def designated(self) -> dict:
         """Variable id -> its smallest-state-space holder node; ties by lowest id."""
         spaces = self.spaces
@@ -190,6 +179,31 @@ class JoinTree:
                 if x not in out or key < out[x]:
                     out[x] = key
         return out
+
+
+def schedule(tree: JoinTree, sinks=None) -> list:
+    """The tree's directed sends in message order; given ``sinks``, those toward a sink.
+
+    Each non-root node to its parent in postorder, then each node to its
+    children in preorder: a node sends inward after hearing from all its
+    children, and outward after hearing from its parent.  Without
+    ``sinks`` every directed edge is sent once.  Given ``sinks``, a send
+    a -> b is kept only when some sink lies on b's side of the edge.  With
+    ``below[n]`` the number of sinks in n's rooted subtree, an inward send
+    n -> parent is kept iff ``below[n] < below[root]``, and an outward send
+    n -> c iff ``below[c] > 0``.  So every send into a from a neighbor
+    other than b is kept with a -> b, and comes before it.  Every node is
+    a sink by default, which keeps every send.
+    """
+    root, preorder, postorder, parent, children = tree.rooting
+    below = dict.fromkeys(postorder, 0)
+    for n in tree.nodes if sinks is None else sinks:
+        below[n] = 1
+    for n in postorder:
+        if n != root:
+            below[parent[n]] += below[n]
+    inward = [(n, parent[n]) for n in postorder if n != root and below[n] < below[root]]
+    return inward + [(n, c) for n in preorder for c in children[n] if below[c]]
 
 
 def moral_graph(net: BayesNet) -> dict:

@@ -33,10 +33,13 @@ where node tables, messages and each target's marginal end.  What a step
 costs is read off the step itself, never off which slots are empty.  The
 last steps marginalize each target's source onto it; an SS source that
 spans only its target gets no step, and its slot is the marginal's.
-The three architectures differ only in the steps their builders emit; one
-executor, :func:`_execute`, runs them all and is the only caller of the
-counted kernels.  Every run checks its targets, fetches its plan, executes
-all the plan's steps and normalizes each marginal slot into the result.
+The three architectures differ only in the steps their builders emit.
+Both builders take their sends from ``compile.schedule``, the one code
+that orders and filters them: LS and Hugin every directed edge, SS only
+those toward its sinks.  One executor, :func:`_execute`, runs them all
+and is the only caller of the counted kernels.  Every run checks its
+targets, fetches its plan, executes all the plan's steps and normalizes
+each marginal slot into the result.
 Plans are kept in ``JoinTree.plans``, keyed on the targets and the
 potentials' domains; a run whose key differs builds a new plan, and the
 precondition is checked only then.  LS and Hugin come from one build; SS
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import bnbench.compile
-from bnbench.compile import JoinTree, compile_structures
+from bnbench.compile import JoinTree, compile_structures, schedule
 from bnbench.counting import OpCounter
 from bnbench.network import BayesNet
 from bnbench.potentials import (
@@ -229,7 +232,7 @@ def _run(arch: str, tree: JoinTree, potentials, plan: _Plan, on_step=None) -> En
 
 
 def _build_table_plans(tree: JoinTree, domains, targets):
-    """The LS and the Hugin plan of one tree, emitted in one pass over ``tree.sends``.
+    """The LS and the Hugin plan of one tree, emitted in one pass over ``schedule(tree)``.
 
     ``domains`` are the input potentials' domains, placed first by
     ``compile.assign_potentials``.  Every table spans its node's sorted
@@ -267,7 +270,7 @@ def _build_table_plans(tree: JoinTree, domains, targets):
     over = {(a, b): multiply_plan(nodes[b], sep, cards) for (a, b), sep in tree.separators.items()}
     ls, hugin, marks = list(init), init, []
     parent = tree.rooting.parent
-    for a, b in tree.sends:
+    for a, b in schedule(tree):
         if a not in has_table:
             continue  # a silent sender
         sep = tree.separator(a, b)
@@ -302,7 +305,7 @@ def _build_table_plans(tree: JoinTree, domains, targets):
 
 
 def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
-    """Lauritzen-Spiegelhalter propagation: one loop over ``tree.sends``.
+    """Lauritzen-Spiegelhalter propagation: one loop over ``schedule(tree)``.
 
     Each send marginalizes the sender's table onto the separator and the
     receiver multiplies the message in.  When the receiver is the sender's
@@ -315,7 +318,7 @@ def ls_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
 
 
 def hugin_run(tree: JoinTree, potentials, targets=None, on_step=None) -> EngineResult:
-    """Hugin propagation with separator registers: one loop over ``tree.sends``.
+    """Hugin propagation with separator registers: one loop over ``schedule(tree)``.
 
     Every separator register holds its last message; a sender forwards the
     quotient of the new message by the stored one, or the message itself
@@ -364,7 +367,6 @@ def _build_ss_plan(tree: JoinTree, domains, targets) -> _Plan:
     """
     placement = bnbench.compile.assign_potentials(tree, domains)
     cards = tree.cards
-    root, _, postorder, parent, _ = tree.rooting
     designated = tree.designated
     via = {}
     for x in targets:
@@ -374,12 +376,6 @@ def _build_ss_plan(tree: JoinTree, domains, targets) -> _Plan:
             if best is not None and best[0] < space:
                 via[x] = best[1]
     sinks = {designated[x] for x in targets}.union(*via.values())
-    below = dict.fromkeys(postorder, 0)
-    for n in sinks:
-        below[n] = 1
-    for n in postorder:
-        if n != root:
-            below[parent[n]] += below[n]
 
     steps, held, fresh = [], {}, len(domains)
 
@@ -405,7 +401,7 @@ def _build_ss_plan(tree: JoinTree, domains, targets) -> _Plan:
         return slot, dom
 
     # With any sink, every node is one or sends toward one, so needs its own potential.
-    if below[root]:
+    if sinks:
         for n, idxs in sorted(placement.items()):
             held[n] = product([(i, domains[i]) for i in idxs])
 
@@ -415,10 +411,8 @@ def _build_ss_plan(tree: JoinTree, domains, targets) -> _Plan:
         return out + [held[n]] if n in held else out
 
     messages = {}
-    for e in tree.sends:
+    for e in schedule(tree, sinks):
         a, b = e
-        if not (below[root] - below[a] if parent[a] == b else below[b]):
-            continue  # no sink lies on b's side
         parts = inputs(a, b)
         held[e] = product(parts, tree.nodes[b]) if parts else None
         messages[e] = None if held[e] is None else held[e][0]
@@ -440,16 +434,14 @@ def _build_ss_plan(tree: JoinTree, domains, targets) -> _Plan:
 
 
 def ss_run(tree: JoinTree, potentials, targets=None) -> EngineResult:
-    """Shenoy-Shafer propagation: one loop over the demanded ``tree.sends``.  Never divides.
+    """Shenoy-Shafer propagation: one loop over ``schedule(tree, sinks)``.  Never divides.
 
     Only demanded messages are sent.  The sinks are each target's
     designated node (the smallest node containing it) and both ends of each
     separator used for extraction; a message toward b is demanded iff a sink
-    lies on b's side of the edge.  With ``below[n]`` the number of sinks in
-    n's rooted subtree, an inward send n -> parent is demanded iff some sink
-    lies outside n's subtree, and an outward send n -> c iff ``below[c] > 0``.
-    A demanded message's inputs are demanded too and come earlier in
-    ``tree.sends``, so every message a sender folds already exists.  A
+    lies on b's side of the edge, which is the send ``compile.schedule``
+    keeps given the sinks.  A demanded message's inputs are demanded too
+    and come earlier, so every message a sender folds already exists.  A
     message from a toward b folds the messages from a's other
     neighbors (ascending neighbor id) and finally a's combined own potential,
     then marginalizes onto b's domain, which leaves the separator, because

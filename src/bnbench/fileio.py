@@ -89,6 +89,11 @@ def _variable(i: int, item) -> Variable:
     return Variable(i, name, len(states) if isinstance(states, list) else states)
 
 
+def _has_bool(values) -> bool:
+    """Whether a JSON value, or any item of a nested list, is a boolean."""
+    return isinstance(values, bool) or isinstance(values, list) and any(map(_has_bool, values))
+
+
 def network_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise NetworkError("network file must hold a JSON object, not %s" % type(doc).__name__)
@@ -132,6 +137,8 @@ def network_from_dict(doc: dict):
         if v.name not in cpts_raw:
             raise NetworkError("no CPT for variable %r" % v.name)
         domain = [variables[j] for j in parents[v.id]] + [v]
+        if _has_bool(cpts_raw[v.name]):
+            raise NetworkError("CPT of variable %r holds a boolean, not a number" % v.name)
         try:
             cpts[v.id] = make_potential(domain, cpts_raw[v.name])
         except (ValueError, TypeError) as exc:
@@ -144,6 +151,8 @@ def network_from_dict(doc: dict):
     for name, vec in (doc.get("evidence") or {}).items():
         if name not in index:
             raise NetworkError("evidence on unknown variable %r" % name)
+        if _has_bool(vec):
+            raise NetworkError("evidence on variable %r holds a boolean, not a number" % name)
         try:
             evidence[index[name]] = np.asarray(vec, dtype=np.float64)
         except (ValueError, TypeError) as exc:

@@ -23,6 +23,7 @@ from bnbench.potentials import (
 )
 
 ORACLE_CAP = 1 << 22
+TINY = float(np.finfo(float).tiny)
 
 
 class NetworkError(ValueError):
@@ -67,7 +68,16 @@ class BayesNet:
 
 
 def validate(net: BayesNet) -> list:
-    """Return a list of violation strings; empty iff the network is valid."""
+    """Return a list of violation strings; empty iff the network is valid.
+
+    Besides structure and row sums, every positive CPT entry below
+    ``TINY``, the smallest normal float, is reported with its variable: a
+    subnormal entry keeps too few significant bits, and the first product
+    it enters loses them before any evidence can zero its row, so neither
+    the engines nor the brute-force joint could answer exactly.  Evidence
+    is not held to this: :func:`evidence_potentials` scales a subnormal
+    likelihood exactly.
+    """
     if not net.variables:
         return ["network has no variables"]
     problems = []
@@ -161,6 +171,11 @@ def validate(net: BayesNet) -> list:
             problems.append(
                 "CPT of variable %r: row at parent configuration %r sums to %.12g"
                 % (names[v], tuple(int(i) for i in bad), float(rows.values[bad]))
+            )
+        for cell in np.argwhere((cpt.values > 0) & (cpt.values < TINY)):
+            problems.append(
+                "CPT of variable %r: entry at configuration %r is %r, below the smallest normal float %r"
+                % (names[v], tuple(int(i) for i in cell), float(cpt.values[tuple(cell)]), TINY)
             )
         if cards[v] != cpt.card(v):
             problems.append(

@@ -4,16 +4,19 @@ Run from the repository root with
 
     PYTHONPATH=src python tests/fingerprint.py
 
-and compare the two printed lines across two versions of ``src/``.  The
-first line shows that a change leaves every count, table and hook call as
-it was; the second, that it leaves every plan step as it was.  The first
-hash covers, for LS, Hugin and SS on both trees of each case and each target
-set: the counters, the singleton and node marginals (values and key
-order), the SS messages and Hugin registers, every ``on_step`` call of a
-Hugin run, and the storage report of each architecture.  A run that
-raises contributes its exception instead.  Within a hooked run each table
-handed to the hook is hashed once, and later calls that hand it again feed
-its digest (see :class:`Fingerprint`).
+Each printed line is a digest followed by ``matches`` when it equals the
+recorded one (``RECORDED``) or ``DIFFERS`` when not, and the script
+exits 1 if either differs.  The first line shows that a change leaves
+every count, table and hook call as it was; the second, that it leaves
+every plan step as it was.  A change meant to move either records its
+new digest here.  The first hash covers, for LS, Hugin and SS on both
+trees of each case and each target set: the counters, the singleton and
+node marginals (values and key order), the SS messages and Hugin
+registers, every ``on_step`` call of a Hugin run, and the storage report
+of each architecture.  A run that raises contributes its exception
+instead.  Within a hooked run each table handed to the hook is hashed
+once, and later calls that hand it again feed its digest (see
+:class:`Fingerprint`).
 
 The second hash covers the ``repr`` of the LS/Hugin plan pair
 (``engines._build_table_plans``) and of the SS plan
@@ -32,6 +35,7 @@ it runs for about 20 s on a shared 2-core x86_64 host.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 from bnbench import engines
 from bnbench.compile import compile_structures
@@ -45,6 +49,11 @@ PRESETS = (GenParams(n=8, c2=2, m=3, p=3, seed=SEED), GenParams(n=8, c2=5, m=6, 
 WIDE = GenParams(n=14, c1=6, c2=5, m=6, p=3, seed=SEED)
 LONG = GenParams(n=200, c1=5, c2=2, m=2, p=1, seed=SEED)
 TARGETS = (None, [0], [], [3, 1, 5])
+# The digests of the engines' output and of their plans, in print order.
+RECORDED = (
+    "3e33c2bc85b5a3e4e1d6438c023245d82966104e32fde41df11187f41197654e",
+    "e124d52635d6a3430e54a9f3ed8310b2be7c2d8b3c667bede5bb6f6db19effda",
+)
 
 
 def cases():
@@ -148,9 +157,12 @@ def main():
                     if report is not None:
                         fp.text("storage", vars(report))
                 plans.text("tree", tree.kind, targets, plans.guarded(plan_reprs, tree, comp.potentials, targets))
-    print(fp.sha.hexdigest())
-    print(plans.sha.hexdigest())
+    differs = False
+    for digest, recorded in zip((fp.sha.hexdigest(), plans.sha.hexdigest()), RECORDED):
+        print(digest, "matches" if digest == recorded else "DIFFERS")
+        differs = differs or digest != recorded
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

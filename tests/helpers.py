@@ -233,6 +233,21 @@ def reference_orient(tree: JoinTree, root: int):
     return preorder, postorder, parent, children
 
 
+def reference_sides(tree: JoinTree) -> dict:
+    """Directed edge (a, b) -> the nodes a walk from b reaches without entering a."""
+    sides = {}
+    for a in tree.nodes:
+        for b in tree.adj[a]:
+            seen, stack = {a, b}, [b]
+            while stack:
+                for q in tree.adj[stack.pop()]:
+                    if q not in seen:
+                        seen.add(q)
+                        stack.append(q)
+            sides[a, b] = frozenset(seen - {a})
+    return sides
+
+
 def reference_designated(tree: JoinTree, x: int):
     """Smallest-state-space node containing x (ties: lowest id), or None."""
     holders = [n for n in sorted(tree.nodes) if x in tree.nodes[n]]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bnbench
-from bnbench import cli
+from bnbench import cli, engines
 from bnbench.cli import main, summarize_rows
 from bnbench.fileio import load_network
 
@@ -279,9 +279,18 @@ class TestInputErrors:
                 lambda doc: (doc["arcs"].append(["D", "A"]), doc["cpts"].update(A=[0.5] * 4)),
                 "acyclicity violation: directed cycle 'A' -> 'T' -> 'E' -> 'D' -> 'A'",
             ),
+            (
+                lambda doc: doc["cpts"].update(A=[True, False]),
+                "CPT of variable 'A' holds a boolean, not a number",
+            ),
+            (
+                lambda doc: doc["evidence"].update(A=[True, False]),
+                "evidence on variable 'A' holds a boolean, not a number",
+            ),
         ],
         ids=[
             "self-arc", "duplicate-arc", "cpt-length", "non-numeric-evidence", "row-sum", "cycle",
+            "boolean-cpt", "boolean-evidence",
         ],
     )
     def test_error_names_the_variable(self, chest_file, tmp_path, capsys, edit, message):
@@ -405,6 +414,19 @@ class TestBench:
         assert "wrote 9 rows" in out
         assert "Hugin/SS-1" in out
         assert path.exists()
+
+    def test_out_of_memory_is_refused_without_a_traceback(self, monkeypatch, capsys):
+        """A table too large to allocate ends in one ``error:`` line and exit 2; nothing is allocated."""
+        message = "Unable to allocate 16.0 PiB for an array with shape (2, 2) and data type float64"
+
+        def no_memory(pot, plan):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(engines, "embed", no_memory)
+        assert main(["bench", "--params", "n=8,c2=2,m=3,p=3", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: %s\n" % message
+        assert captured.out == ""
 
     def test_verify_oracle_passes(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bnbench import cli, engines, storage
-from bnbench.compile import CompileError, JoinTree, assign_potentials, compile_structures, verify_join_tree
+from bnbench.compile import CompileError, JoinTree, assign_potentials, compile_structures, schedule, verify_join_tree
 from bnbench.counting import OpCounter
 from bnbench.engines import EngineError, hugin_run, ls_run, run_all, ss_run
 from bnbench.generate import GenParams, random_case
@@ -1091,7 +1091,7 @@ class TestSmallTrees:
         pots = [from_values((0,), (3,), [0.2, 0.3, 0.5]), from_values((1, 2), (2, 2), [1, 2, 3, 4])]
         assert assign_potentials(tree, [p.domain for p in pots]) == {0: [0], 2: [1]}
         assert tree.rooting.root == 0
-        assert tree.sends == [(2, 1), (3, 1), (1, 0), (0, 1), (1, 2), (1, 3)]
+        assert schedule(tree) == [(2, 1), (3, 1), (1, 0), (0, 1), (1, 2), (1, 3)]
         _assert_ls_hugin_match_references(tree, pots, None)
         plan = tree.plans["ls/hugin"][1][1]
         absorb = {(a, b): plan.steps[end - 2] for _, a, b, end in plan.marks}

@@ -88,6 +88,23 @@ class TestNetworkErrors:
         with pytest.raises(NetworkError):
             network_from_dict({"variables": []})
 
+    @pytest.mark.parametrize(
+        "key, name, values, message",
+        [
+            ("cpts", "A", [True, False], "CPT of variable 'A' holds a boolean, not a number"),
+            ("cpts", "T", [[0.05, 0.95], [0.01, True]], "CPT of variable 'T' holds a boolean, not a number"),
+            ("evidence", "A", [True, False], "evidence on variable 'A' holds a boolean, not a number"),
+            ("evidence", "D", [1, False], "evidence on variable 'D' holds a boolean, not a number"),
+        ],
+        ids=["cpt", "nested-cpt", "evidence", "mixed-evidence"],
+    )
+    def test_booleans_are_no_numbers(self, chest, chest_evidence, key, name, values, message):
+        doc = network_to_dict(chest, chest_evidence)
+        doc[key][name] = values
+        with pytest.raises(NetworkError) as info:
+            network_from_dict(doc)
+        assert str(info.value) == message
+
     def test_malformed_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

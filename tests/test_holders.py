@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnbench import cli
-from bnbench.compile import JoinTree, assign_potentials, compile_structures
+from bnbench.compile import JoinTree, assign_potentials, compile_structures, schedule
 from bnbench.engines import _MARGINALIZE, _MULTIPLY, hugin_run, ss_run
 from bnbench.generate import GenParams, random_case
 from bnbench.network import chest_clinic, chest_clinic_evidence
@@ -15,6 +17,7 @@ from helpers import (
     reference_orient,
     reference_root,
     reference_separator,
+    reference_sides,
     reference_space,
 )
 
@@ -39,7 +42,7 @@ def _assert_index_matches_full_scans(comp):
         preorder, postorder, parent, children = reference_orient(tree, root)
         assert tree.rooting == (root, preorder, postorder, parent, children)
         inward = [(n, parent[n]) for n in postorder if n != root]
-        assert tree.sends == inward + [(n, c) for n in preorder for c in children[n]]
+        assert schedule(tree) == inward + [(n, c) for n in preorder for c in children[n]]
         for x in sorted(tree.cards):
             assert tree.designated[x] == reference_designated(tree, x)
             assert tree.best_separators.get(x) == reference_best_separator(tree, x)
@@ -172,3 +175,37 @@ def test_best_separator_ties_go_to_the_lowest_edge(chest_comp):
     for x, edges in tied.items():
         assert tree.best_separators[x] == (4, edges[0])
         assert writes[plan.marginals[x]] == (_MARGINALIZE, plan.messages[edges[0]])
+
+
+def _ss_sinks(tree):
+    """SS's sinks for every target: each designated node, and both ends of each separator it extracts through."""
+    sinks = set()
+    for x in sorted(tree.cards):
+        d = tree.designated[x]
+        sinks.add(d)
+        best = tree.best_separators.get(x)
+        if best is not None and best[0] < tree.spaces[d]:
+            sinks.update(best[1])
+    return sinks
+
+
+def test_demanded_schedule_matches_a_walk_toward_the_sinks():
+    """``schedule(tree, sinks)`` keeps a -> b iff a walk from b that never enters a reaches a sink.
+
+    Kept sends come in ``schedule(tree)`` order, and every send into a
+    sender from a neighbor other than its receiver is kept too, and
+    earlier.  Every node as a sink keeps every send; no sink keeps none.
+    """
+    rng = random.Random(2013)
+    for comp in _fresh_bench_comps():
+        for tree in (comp.junction, comp.binary):
+            full, sides, ids = schedule(tree), reference_sides(tree), sorted(tree.nodes)
+            assert schedule(tree, set(tree.nodes)) == full
+            for sinks in (_ss_sinks(tree), {0}, set(), {rng.choice(ids)}, set(rng.sample(ids, rng.randint(1, len(ids))))):
+                kept = schedule(tree, sinks)
+                assert kept == [(a, b) for a, b in full if not sides[a, b].isdisjoint(sinks)]
+                position = {e: i for i, e in enumerate(kept)}
+                for a, b in kept:
+                    for q in tree.adj[a]:
+                        if q != b:
+                            assert position[q, a] < position[a, b]

@@ -115,6 +115,20 @@ class TestValidate:
         net.arcs.append((0, 5))
         assert any("unknown" in p or "range" in p for p in validate(net))
 
+    def test_each_subnormal_cpt_entry_reported(self):
+        net = tiny_chain()
+        net.cpts[1] = make_potential([net.var(0), net.var(1)], [1e-320, 1 - 1e-320, 1 - 5e-324, 5e-324])
+        assert validate(net) == [
+            "CPT of variable 'b': entry at configuration (0, 0) is 1e-320, below the smallest normal float 2.2250738585072014e-308",
+            "CPT of variable 'b': entry at configuration (1, 1) is 5e-324, below the smallest normal float 2.2250738585072014e-308",
+        ]
+
+    @pytest.mark.parametrize("small", [1e-300, 2.2250738585072014e-308, 0.0])
+    def test_normal_and_zero_cpt_entries_pass(self, small):
+        net = tiny_chain()
+        net.cpts[0] = make_potential([net.var(0)], [small, 1 - small])
+        assert validate(net) == []
+
 
 class TestEvidence:
     def test_chest_evidence_is_clean(self, chest, chest_evidence):
